@@ -14,6 +14,8 @@ import math
 from pathlib import Path
 from typing import Any
 
+from .ehr_core import DataError
+
 
 def canonical_json(obj: Any) -> str:
     """Serialize to a canonical JSON string (stable across runs)."""
@@ -25,7 +27,11 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file; a truncated or malformed one is a DataError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise DataError(f"{path}: not valid JSON: {err}") from None
 
 
 def sha256_hex(data: bytes) -> str:

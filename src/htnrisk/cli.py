@@ -230,17 +230,18 @@ def cmd_train(args) -> int:
     train_data, val_data = _featurized_splits(cohort, schema, config.model_kind)
     out = _out_dir(args)
     outputs = {}
+    log_path = out / "train_log.csv"
     if args.grid:
-        config, results = grid_search(config, train_data, val_data)
+        config, params, log, results = grid_search(config, train_data, val_data)
         grid_path = out / "grid_results.csv"
         grid_results_to_csv(results, grid_path)
         outputs["grid_results"] = grid_path
-    log_path = out / "train_log.csv"
-    try:
-        params, log = train_model(config, train_data, val_data)
-    except TrainingDiverged as err:
-        err.log.to_csv(log_path)
-        raise
+    else:
+        try:
+            params, log = train_model(config, train_data, val_data)
+        except TrainingDiverged as err:
+            err.log.to_csv(log_path)
+            raise
     log.to_csv(log_path)
     model_path = out / "model.json"
     save_model(

@@ -30,14 +30,12 @@ def _require_finite(name: str, *arrays: np.ndarray) -> None:
 def sigmoid(z):
     """Numerically stable logistic function, elementwise.
 
-    Both branches avoid computing exp of a large positive argument.
+    exp only ever sees -|z|, so it cannot overflow: 1/(1+e^-z) for z >= 0
+    and e^z/(1+e^z) below, selected without branching.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,13 +132,14 @@ def lr_input_gradients(params: LrParams, X: Matrix) -> tuple[np.ndarray, np.ndar
 
 # -- LSTM ----------------------------------------------------------------------
 
-#: Flattening order of LstmParams fields; fixed so vectors round-trip.
-LSTM_FIELDS = (
-    "W_i", "W_f", "W_o", "W_g",
-    "U_i", "U_f", "U_o", "U_g",
-    "b_i", "b_f", "b_o", "b_g",
-    "dense_w", "dense_b",
-)
+#: Order of the gate blocks along the last axis of the fused W, U and b.
+GATES = "ifog"
+
+
+def split_gates(fused: np.ndarray) -> list[np.ndarray]:
+    """Views of the four gate blocks of a fused (..., 4H) array, in GATES order."""
+    H = fused.shape[-1] // len(GATES)
+    return [fused[..., k * H : (k + 1) * H] for k in range(len(GATES))]
 
 
 @dataclass
@@ -148,102 +147,88 @@ class LstmParams:
     """Single-layer LSTM with a dense sigmoid head on the final hidden state.
 
     Gates i, f, o use the logistic function, candidate g uses tanh:
-    c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t), with c_0 = h_0 = 0.
+    c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t), with c_0 = h_0 = 0. The four
+    gates are fused along the last axis in GATES order, so column block k
+    of W, U and b belongs to gate GATES[k].
     """
 
-    W_i: Matrix; W_f: Matrix; W_o: Matrix; W_g: Matrix  # input kernels (F, H)
-    U_i: Matrix; U_f: Matrix; U_o: Matrix; U_g: Matrix  # recurrent kernels (H, H)
-    b_i: Matrix; b_f: Matrix; b_o: Matrix; b_g: Matrix  # biases (H,)
+    W: Matrix  # input kernel (F, 4H)
+    U: Matrix  # recurrent kernel (H, 4H)
+    b: Matrix  # bias (4H,)
     dense_w: Matrix  # (H,)
     dense_b: float
 
     @property
     def n_features(self) -> int:
-        return self.W_i.shape[0]
+        return self.W.shape[0]
 
     @property
     def hidden(self) -> int:
-        return self.W_i.shape[1]
+        return self.U.shape[0]
 
     def to_vector(self) -> np.ndarray:
-        parts = []
-        for name in LSTM_FIELDS:
-            value = getattr(self, name)
-            parts.append(np.atleast_1d(np.asarray(value, dtype=np.float64)).ravel())
-        return np.concatenate(parts)
+        return np.concatenate(
+            [self.W.ravel(), self.U.ravel(), self.b, self.dense_w, [self.dense_b]]
+        )
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_features: int, hidden: int) -> "LstmParams":
-        shapes = _lstm_shapes(n_features, hidden)
-        values = {}
-        cursor = 0
-        for name in LSTM_FIELDS:
-            shape = shapes[name]
-            size = int(np.prod(shape)) if shape else 1
-            chunk = vec[cursor : cursor + size]
-            values[name] = float(chunk[0]) if not shape else chunk.reshape(shape).copy()
-            cursor += size
-        return cls(**values)
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(
-            **{
-                name: (v.copy() if isinstance(v := getattr(self, name), np.ndarray) else v)
-                for name in LSTM_FIELDS
-            }
+        width = 4 * hidden
+        u_start = n_features * width
+        b_start = u_start + hidden * width
+        dense_start = b_start + width
+        return cls(
+            W=vec[:u_start].reshape(n_features, width).copy(),
+            U=vec[u_start:b_start].reshape(hidden, width).copy(),
+            b=vec[b_start:dense_start].copy(),
+            dense_w=vec[dense_start : dense_start + hidden].copy(),
+            dense_b=float(vec[dense_start + hidden]),
         )
-
-
-def _lstm_shapes(n_features: int, hidden: int) -> dict[str, tuple]:
-    shapes: dict[str, tuple] = {}
-    for gate in "ifog":
-        shapes[f"W_{gate}"] = (n_features, hidden)
-        shapes[f"U_{gate}"] = (hidden, hidden)
-        shapes[f"b_{gate}"] = (hidden,)
-    shapes["dense_w"] = (hidden,)
-    shapes["dense_b"] = ()
-    return shapes
 
 
 def init_lstm_params(n_features: int, hidden: int, rng: np.random.Generator) -> LstmParams:
     """Uniform(-s, s) with s = 1/sqrt(H); forget-gate bias fixed at 1.
 
-    Parameters are drawn in LSTM_FIELDS order (the forget bias consumes
-    no draws), so a given seed always produces the same initialization.
+    Blocks are drawn one gate at a time in GATES order: the four input
+    kernels, then the four recurrent kernels, then the biases (the forget
+    bias consumes no draws), then dense_w and dense_b. That is the order of
+    the per-gate model keys, so a given seed always produces the same
+    initialization.
     """
     s = 1.0 / np.sqrt(hidden)
-    shapes = _lstm_shapes(n_features, hidden)
-    values = {}
-    for name in LSTM_FIELDS:
-        if name == "b_f":
-            values[name] = np.ones(hidden)
-        elif name == "dense_b":
-            values[name] = float(rng.uniform(-s, s))
-        else:
-            values[name] = rng.uniform(-s, s, size=shapes[name])
-    return LstmParams(**values)
-
-
-def zero_lstm_grads(params: LstmParams) -> LstmParams:
-    return LstmParams(
-        **{
-            name: (np.zeros_like(v) if isinstance(v := getattr(params, name), np.ndarray) else 0.0)
-            for name in LSTM_FIELDS
-        }
+    W = np.concatenate([rng.uniform(-s, s, size=(n_features, hidden)) for _ in GATES], axis=1)
+    U = np.concatenate([rng.uniform(-s, s, size=(hidden, hidden)) for _ in GATES], axis=1)
+    b = np.concatenate(
+        [np.ones(hidden) if gate == "f" else rng.uniform(-s, s, size=hidden) for gate in GATES]
     )
+    dense_w = rng.uniform(-s, s, size=hidden)
+    return LstmParams(W=W, U=U, b=b, dense_w=dense_w, dense_b=float(rng.uniform(-s, s)))
 
 
 @dataclass
 class LstmTape:
     """Per-timestep activations cached by the forward pass for backward."""
 
-    X: Matrix  # (n, T, F)
-    i: Matrix; f: Matrix; o: Matrix; g: Matrix  # (T, n, H)
+    X: Matrix  # (T, n, F) time-major inputs
+    gates: Matrix  # (T, n, 4H) gate activations, fused in GATES order
     c: Matrix; tanh_c: Matrix; h: Matrix  # (T, n, H)
     mask: Matrix  # (n, H) inverted-dropout mask (ones when disabled)
     h_drop: Matrix  # (n, H)
     logits: np.ndarray  # (n,)
     p: np.ndarray  # (n,)
+
+
+def _activate_gates(z: Matrix, hidden: int) -> None:
+    """Gate pre-activations (n, 4H) -> activations, in place.
+
+    One tanh covers all four blocks; the logistic gates i, f, o use
+    sigmoid(z) = 0.5*(1 + tanh(z/2)), exact in absolute terms to rounding.
+    """
+    logistic = z[:, : 3 * hidden]
+    logistic *= 0.5
+    np.tanh(z, out=z)
+    logistic += 1.0
+    logistic *= 0.5
 
 
 def lstm_forward(
@@ -255,9 +240,12 @@ def lstm_forward(
 ) -> tuple[np.ndarray, LstmTape]:
     """Run the recurrence over a batch (n, T, F) -> probabilities (n,).
 
-    Inverted dropout is applied to the final hidden state only, and only
-    in train_mode: kept units are scaled by 1/(1-rate) so the expected
-    pre-dense activation matches the evaluation-mode forward.
+    The input projections of all T steps take one matmul; each step then
+    adds its recurrent term and the bias to its slice and turns the slice
+    into gate activations in place. Inverted dropout is applied to the
+    final hidden state only, and only in train_mode: kept units are scaled
+    by 1/(1-rate) so the expected pre-dense activation matches the
+    evaluation-mode forward.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 2:
@@ -266,23 +254,22 @@ def lstm_forward(
     if F != params.n_features:
         raise ValueError(f"expected {params.n_features} features, got {F}")
     H = params.hidden
-    i_s = np.zeros((T, n, H)); f_s = np.zeros((T, n, H))
-    o_s = np.zeros((T, n, H)); g_s = np.zeros((T, n, H))
-    c_s = np.zeros((T, n, H)); tc_s = np.zeros((T, n, H)); h_s = np.zeros((T, n, H))
-    h = np.zeros((n, H))
-    c = np.zeros((n, H))
+    X = np.ascontiguousarray(X.transpose(1, 0, 2))
+    gates = (X.reshape(T * n, F) @ params.W).reshape(T, n, 4 * H)
+    c_s = np.empty((T, n, H)); tc_s = np.empty((T, n, H)); h_s = np.empty((T, n, H))
+    h = np.zeros((n, H)); c = np.zeros((n, H))
     for t in range(T):
-        x = X[:, t, :]
-        i = sigmoid(x @ params.W_i + h @ params.U_i + params.b_i)
-        f = sigmoid(x @ params.W_f + h @ params.U_f + params.b_f)
-        o = sigmoid(x @ params.W_o + h @ params.U_o + params.b_o)
-        g = np.tanh(x @ params.W_g + h @ params.U_g + params.b_g)
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
+        z = gates[t]
+        if t > 0:  # h_0 = 0 adds nothing
+            z += h @ params.U
+        z += params.b
+        _activate_gates(z, H)
+        i, f, o, g = split_gates(z)
+        c = np.multiply(f, c, out=c_s[t])
+        c += i * g
+        tc = np.tanh(c, out=tc_s[t])
+        h = np.multiply(o, tc, out=h_s[t])
         _require_finite(f"lstm activations at step {t}", c, h)
-        i_s[t], f_s[t], o_s[t], g_s[t] = i, f, o, g
-        c_s[t], tc_s[t], h_s[t] = c, tc, h
     if train_mode and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("dropout in train_mode requires an rng")
@@ -294,71 +281,74 @@ def lstm_forward(
     p = sigmoid(logits)
     _require_finite("lstm output", logits)
     return p, LstmTape(
-        X=X, i=i_s, f=f_s, o=o_s, g=g_s, c=c_s, tanh_c=tc_s, h=h_s,
+        X=X, gates=gates, c=c_s, tanh_c=tc_s, h=h_s,
         mask=mask, h_drop=h_drop, logits=logits, p=p,
     )
 
 
-def lstm_backward(
-    params: LstmParams, tape: LstmTape, dlogits: np.ndarray
-) -> tuple[LstmParams, np.ndarray]:
-    """Backpropagation through time from d loss / d logit.
-
-    Returns parameter gradients (same shapes as params) and the gradient
-    with respect to the inputs, shape (n, T, F).
+def _bptt(params: LstmParams, tape: LstmTape, dlogits: np.ndarray) -> np.ndarray:
+    """Backpropagation through time: d loss / d gate pre-activations,
+    fused like the tape's gates, (T, n, 4H), from d loss / d logit.
 
     Derivation sketch, per timestep t (elementwise products):
       dh_t collects the head path (t = T only) and the recurrent path;
       dc_t = dc_{t+1}*f_{t+1} + dh_t*o_t*(1 - tanh(c_t)^2)
       d(gate pre-activations): dzi = dc*g*i*(1-i), dzf = dc*c_{t-1}*f*(1-f),
         dzo = dh*tanh(c_t)*o*(1-o), dzg = dc*i*(1-g^2)
-      dW_a += x_t^T dza, dU_a += h_{t-1}^T dza, db_a += sum(dza),
-      dh_{t-1} = sum_a dza U_a^T, dx_t = sum_a dza W_a^T.
+      dh_{t-1} = dz U^T over the fused blocks.
     """
-    X = tape.X
-    n, T, F = X.shape
+    T, n, _ = tape.gates.shape
     H = params.hidden
-    grads = zero_lstm_grads(params)
-    dX = np.zeros_like(X)
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-
-    grads.dense_w = tape.h_drop.T @ dlogits
-    grads.dense_b = float(dlogits.sum())
+    dZ = np.empty_like(tape.gates)
     dh = (dlogits[:, None] * params.dense_w[None, :]) * tape.mask
-    dc_next = np.zeros((n, H))
+    dc = np.zeros((n, H))  # holds dc_{t+1}*f_{t+1} on entry to step t
     for t in reversed(range(T)):
-        i, f, o, g = tape.i[t], tape.f[t], tape.o[t], tape.g[t]
+        act = tape.gates[t]
+        i, f, o, g = split_gates(act)
         tc = tape.tanh_c[t]
-        c_prev = tape.c[t - 1] if t > 0 else np.zeros((n, H))
-        h_prev = tape.h[t - 1] if t > 0 else np.zeros((n, H))
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        do = dh * tc
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dzi = di * i * (1.0 - i)
-        dzf = df * f * (1.0 - f)
-        dzo = do * o * (1.0 - o)
-        dzg = dg * (1.0 - g * g)
-        x = X[:, t, :]
-        grads.W_i += x.T @ dzi; grads.U_i += h_prev.T @ dzi; grads.b_i += dzi.sum(axis=0)
-        grads.W_f += x.T @ dzf; grads.U_f += h_prev.T @ dzf; grads.b_f += dzf.sum(axis=0)
-        grads.W_o += x.T @ dzo; grads.U_o += h_prev.T @ dzo; grads.b_o += dzo.sum(axis=0)
-        grads.W_g += x.T @ dzg; grads.U_g += h_prev.T @ dzg; grads.b_g += dzg.sum(axis=0)
-        dX[:, t, :] = dzi @ params.W_i.T + dzf @ params.W_f.T + dzo @ params.W_o.T + dzg @ params.W_g.T
-        dh = dzi @ params.U_i.T + dzf @ params.U_f.T + dzo @ params.U_o.T + dzg @ params.U_g.T
-        dc_next = dc * f
-    return grads, dX
+        dz = dZ[t]
+        dzi, dzf, dzo, dzg = split_gates(dz)
+        dc += dh * o * (1.0 - tc * tc)
+        np.multiply(dc, g, out=dzi)
+        if t > 0:
+            np.multiply(dc, tape.c[t - 1], out=dzf)
+        else:  # c_0 = 0
+            dzf.fill(0.0)
+        np.multiply(dh, tc, out=dzo)
+        logistic = dz[:, : 3 * H]
+        logistic *= act[:, : 3 * H]
+        logistic *= 1.0 - act[:, : 3 * H]
+        np.multiply(dc, i, out=dzg)
+        dzg *= 1.0 - g * g
+        if t > 0:
+            dh = dz @ params.U.T
+            dc *= f
+    return dZ
+
+
+def lstm_backward(params: LstmParams, tape: LstmTape, dlogits: np.ndarray) -> LstmParams:
+    """Parameter gradients (same shapes as params) from d loss / d logit.
+
+    After BPTT, each fused kernel gradient is one matmul over all steps:
+    dW = sum_t x_t^T dz_t, dU = sum_t h_{t-1}^T dz_t, db = sum_t sum(dz_t).
+    """
+    dlogits = np.asarray(dlogits, dtype=np.float64)
+    dZ = _bptt(params, tape, dlogits)
+    T, n, F = tape.X.shape
+    H = params.hidden
+    dZ = dZ.reshape(T * n, 4 * H)
+    return LstmParams(
+        W=tape.X.reshape(T * n, F).T @ dZ,
+        U=tape.h[:-1].reshape((T - 1) * n, H).T @ dZ[n:],  # h_0 = 0
+        b=dZ.sum(axis=0),
+        dense_w=tape.h_drop.T @ dlogits,
+        dense_b=float(dlogits.sum()),
+    )
 
 
 def lstm_l1_penalty(params: LstmParams, lam: float) -> float:
-    # Input kernels W_* only; recurrent kernels and biases are exempt.
-    return lam * float(
-        np.abs(params.W_i).sum()
-        + np.abs(params.W_f).sum()
-        + np.abs(params.W_o).sum()
-        + np.abs(params.W_g).sum()
-    )
+    # Input kernel W only; the recurrent kernel and biases are exempt.
+    return lam * float(np.abs(params.W).sum())
 
 
 def lstm_loss_and_grads(
@@ -373,16 +363,13 @@ def lstm_loss_and_grads(
 ) -> tuple[float, LstmParams]:
     """Mean weighted BCE + L1 over a batch, with exact BPTT gradients."""
     p, tape = lstm_forward(params, X, dropout_rate, train_mode, rng)
-    n = tape.X.shape[0]
+    n = p.shape[0]
     loss = float(np.mean(weighted_bce(tape.logits, y, sample_weights)))
     loss += lstm_l1_penalty(params, lam)
     dlogits = np.asarray(sample_weights) * (p - np.asarray(y, dtype=np.float64)) / n
-    grads, _ = lstm_backward(params, tape, dlogits)
+    grads = lstm_backward(params, tape, dlogits)
     if lam > 0.0:
-        grads.W_i += lam * np.sign(params.W_i)
-        grads.W_f += lam * np.sign(params.W_f)
-        grads.W_o += lam * np.sign(params.W_o)
-        grads.W_g += lam * np.sign(params.W_g)
+        grads.W += lam * np.sign(params.W)
     _require_finite("lstm loss", np.array([loss]))
     return loss, grads
 
@@ -394,11 +381,14 @@ def lstm_predict_proba(params: LstmParams, X: Matrix) -> np.ndarray:
 
 
 def lstm_input_gradients(params: LstmParams, X: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, d probability / d input), dropout disabled.
+    """(probabilities, d probability / d input (n, T, F)), dropout disabled.
 
     The upstream seed is dp/dlogit = p(1-p), so the returned gradients
-    are of the output probability itself, as attribution requires.
+    are of the output probability itself, as attribution requires. Only
+    the input gradient is formed: dX_t = dz_t W^T, in one matmul.
     """
     p, tape = lstm_forward(params, X, dropout_rate=0.0, train_mode=False)
-    _, dX = lstm_backward(params, tape, p * (1.0 - p))
-    return p, dX
+    dZ = _bptt(params, tape, p * (1.0 - p))
+    T, n, _ = dZ.shape
+    dX = (dZ.reshape(T * n, -1) @ params.W.T).reshape(T, n, params.n_features)
+    return p, dX.transpose(1, 0, 2)

@@ -18,6 +18,7 @@ import numpy as np
 from .artifacts import derive_seed, format_number, read_kv_config
 from .ehr_core import DataError
 from .nnet import (
+    GATES,
     LrParams,
     LstmParams,
     NumericalError,
@@ -27,6 +28,7 @@ from .nnet import (
     lr_loss_and_grads,
     lstm_loss_and_grads,
     lstm_predict_proba,
+    split_gates,
 )
 
 EARLY_STOP_DELTA = 1e-7
@@ -376,12 +378,14 @@ def grid_search(
     train_data: tuple[np.ndarray, np.ndarray],
     val_data: tuple[np.ndarray, np.ndarray],
     grids: dict | None = None,
-) -> tuple[TrainConfig, list[GridResult]]:
+) -> tuple[TrainConfig, LrParams | LstmParams, TrainLog, list[GridResult]]:
     """Exhaustive search over the hyperparameter cross-product.
 
     Every candidate trains to completion and is scored by validation
     AUROC; ties go to the smaller hidden size, then the smaller l1
-    penalty, then enumeration order.
+    penalty, then enumeration order. Returns (best config, its params,
+    its TrainLog, all results): training is deterministic, so the
+    winner's run is the model a fresh run of its config would produce.
     """
     from .evaluate import auroc
 
@@ -392,6 +396,7 @@ def grid_search(
     if base_config.model_kind == "lr":
         hidden_sizes = (base_config.hidden_size,)  # no hidden layer to size
     results: list[GridResult] = []
+    best_key = best = None
     for lr in grids.get("learning_rate", (base_config.learning_rate,)):
         for lam in grids.get("l1_lambda", (base_config.l1_lambda,)):
             for hidden in hidden_sizes:
@@ -403,19 +408,13 @@ def grid_search(
                         hidden_size=int(hidden),
                         batch_size=int(batch),
                     )
-                    params, _ = train_model(config, train_data, val_data)
+                    params, log = train_model(config, train_data, val_data)
                     scores = predict_proba(config.model_kind, params, val_data[0])
                     results.append(GridResult(config, auroc(val_data[1], scores)))
-    best_index = min(
-        range(len(results)),
-        key=lambda k: (
-            -results[k].val_auroc,
-            results[k].config.hidden_size,
-            results[k].config.l1_lambda,
-            k,
-        ),
-    )
-    return results[best_index].config, results
+                    key = (-results[-1].val_auroc, config.hidden_size, config.l1_lambda)
+                    if best_key is None or key < best_key:  # strict: earlier wins ties
+                        best_key, best = key, (config, params, log)
+    return (*best, results)
 
 
 # -- model artifact --------------------------------------------------------------
@@ -425,19 +424,19 @@ MODEL_FORMAT = "htnrisk-model/1"
 
 def model_to_dict(model_kind: str, params, schema, training: dict) -> dict:
     """Versioned model artifact: weights at full precision plus the
-    feature schema, so inference needs no other files."""
+    feature schema, so inference needs no other files. LSTM weights are
+    stored per gate (W_i ... b_g), split from the fused blocks."""
     from .featurize import schema_to_dict
-    from .nnet import LSTM_FIELDS
 
     if model_kind == "lr":
         shapes = {"n_features": int(params.w.shape[0])}
         weights = {"w": params.w.tolist(), "b": params.b}
     else:
         shapes = {"n_features": params.n_features, "hidden": params.hidden}
-        weights = {}
-        for name in LSTM_FIELDS:
-            value = getattr(params, name)
-            weights[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        weights = {"dense_w": params.dense_w.tolist(), "dense_b": params.dense_b}
+        for kind in ("W", "U", "b"):
+            for gate, block in zip(GATES, split_gates(getattr(params, kind))):
+                weights[f"{kind}_{gate}"] = block.tolist()
     return {
         "format": MODEL_FORMAT,
         "kind": model_kind,
@@ -448,23 +447,60 @@ def model_to_dict(model_kind: str, params, schema, training: dict) -> dict:
     }
 
 
-def model_from_dict(data: dict):
-    """Inverse of model_to_dict: (kind, params, schema, training)."""
-    from .featurize import schema_from_dict
-    from .nnet import LSTM_FIELDS
+def _weight(weights: dict, name: str, shape: tuple) -> np.ndarray | float:
+    """One stored weight, checked against its expected shape."""
+    if name not in weights:
+        raise DataError(f"model weights lack {name}")
+    try:
+        value = np.asarray(weights[name], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"model weight {name} is not a numeric array") from None
+    if value.shape != shape:
+        raise DataError(f"model weight {name} has shape {value.shape}, expected {shape}")
+    return float(value) if shape == () else value
 
-    if data.get("format") != MODEL_FORMAT:
-        raise DataError(f"unsupported model format {data.get('format')!r}")
-    kind = data["kind"]
-    weights = data["weights"]
+
+def _shape(shapes: dict, name: str) -> int:
+    value = shapes.get(name)
+    if type(value) is not int or value <= 0:
+        raise DataError(f"model shapes.{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def model_from_dict(data: dict):
+    """Inverse of model_to_dict: (kind, params, schema, training).
+
+    Every weight is checked against the recorded shapes before the LSTM
+    gates are joined, so a damaged file is a DataError.
+    """
+    from .featurize import schema_from_dict
+
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise DataError(f"unsupported model format {fmt!r}")
+    for key in ("kind", "shapes", "weights", "schema", "training"):
+        if key not in data:
+            raise DataError(f"model lacks {key}")
+    kind, shapes, weights = data["kind"], data["shapes"], data["weights"]
+    if not isinstance(shapes, dict) or not isinstance(weights, dict):
+        raise DataError("model shapes and weights must be JSON objects")
     if kind == "lr":
-        params = LrParams(w=np.asarray(weights["w"], dtype=np.float64), b=float(weights["b"]))
+        F = _shape(shapes, "n_features")
+        params = LrParams(w=_weight(weights, "w", (F,)), b=_weight(weights, "b", ()))
     elif kind == "lstm":
-        values = {}
-        for name in LSTM_FIELDS:
-            raw = weights[name]
-            values[name] = float(raw) if name == "dense_b" else np.asarray(raw, dtype=np.float64)
-        params = LstmParams(**values)
+        F, H = _shape(shapes, "n_features"), _shape(shapes, "hidden")
+        blocks = {"W": (F, H), "U": (H, H), "b": (H,)}
+        fused = {
+            name: np.concatenate(
+                [_weight(weights, f"{name}_{gate}", shape) for gate in GATES], axis=-1
+            )
+            for name, shape in blocks.items()
+        }
+        params = LstmParams(
+            **fused,
+            dense_w=_weight(weights, "dense_w", (H,)),
+            dense_b=_weight(weights, "dense_b", ()),
+        )
     else:
         raise DataError(f"unknown model kind {kind!r}")
     return kind, params, schema_from_dict(data["schema"]), data["training"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from htnrisk.artifacts import read_json, sha256_file
+from htnrisk.artifacts import read_json, sha256_file, write_json
 from htnrisk.cli import main
 from htnrisk.cohort import cohort_from_dict
 
@@ -230,6 +230,71 @@ def test_missing_samples_file_is_a_data_error(tmp_path, capsys):
     assert main(["featurize", "--samples", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: featurize: ")
+
+
+def test_truncated_samples_file_is_a_data_error(pipeline, tmp_path, capsys):
+    text = (pipeline["cohort"] / "samples.json").read_bytes()
+    samples = tmp_path / "samples.json"
+    samples.write_bytes(text[: len(text) // 2])
+    assert main(["featurize", "--samples", str(samples), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: featurize: ") and "not valid JSON" in err
+    assert err.count("\n") == 1
+
+
+def _evaluate_damaged_lstm(pipeline, tmp_path, damage) -> int:
+    model = read_json(pipeline["lstm"] / "model.json")
+    damage(model["weights"])
+    path = tmp_path / "model.json"
+    write_json(path, model)
+    return main(["evaluate", "--model", str(path),
+                 "--samples", str(pipeline["cohort"] / "samples.json"),
+                 "--out", str(tmp_path / "out")])
+
+
+def test_model_missing_a_gate_weight_is_a_data_error(pipeline, tmp_path, capsys):
+    assert _evaluate_damaged_lstm(pipeline, tmp_path, lambda w: w.pop("W_i")) == 2
+    assert capsys.readouterr().err == "error: evaluate: model weights lack W_i\n"
+
+
+def test_gate_weight_of_the_wrong_shape_is_a_data_error(pipeline, tmp_path, capsys):
+    def drop_rows(weights):
+        weights["W_i"] = weights["W_i"][:-3]
+
+    F = read_json(pipeline["lstm"] / "model.json")["shapes"]["n_features"]
+    assert _evaluate_damaged_lstm(pipeline, tmp_path, drop_rows) == 2
+    assert capsys.readouterr().err == (
+        f"error: evaluate: model weight W_i has shape ({F - 3}, 8), expected ({F}, 8)\n"
+    )
+
+
+def test_grid_training_keeps_the_winners_run(pipeline, tmp_path, monkeypatch):
+    import htnrisk.train as train
+
+    monkeypatch.setattr(
+        train, "SEARCH_GRIDS", {"learning_rate": (1e-3, 1e-2), "l1_lambda": (0.0, 1e-3)}
+    )
+    calls = []
+    original = train.train_model
+
+    def counted(config, *data):
+        calls.append(config)
+        return original(config, *data)
+
+    monkeypatch.setattr(train, "train_model", counted)
+    argv = ["train", "--model", "lr", "--samples", str(pipeline["cohort"] / "samples.json"),
+            "--schema", str(pipeline["features"] / "schema.json"), "--epochs", "3",
+            "--seed", "0"]
+    grid_out = tmp_path / "grid"
+    assert main(argv + ["--grid", "--out", str(grid_out)]) == 0
+    assert len(calls) == 4  # one run per candidate, no retraining of the winner
+    # Training the winning config from scratch writes the same bytes.
+    winner = read_json(grid_out / "model.json")["training"]["config"]
+    config = tmp_path / "winner.kv"
+    config.write_text("".join(f"{k}={v}\n" for k, v in winner.items()), encoding="utf-8")
+    plain_out = tmp_path / "plain"
+    assert main(argv + ["--config", str(config), "--out", str(plain_out)]) == 0
+    assert (grid_out / "model.json").read_bytes() == (plain_out / "model.json").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

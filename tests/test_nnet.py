@@ -5,13 +5,14 @@ reimplementation, and every analytic gradient is checked against central
 finite differences of the loss.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from htnrisk.nnet import (
-    LSTM_FIELDS,
+    GATES,
     LrParams,
     LstmParams,
     NumericalError,
@@ -27,6 +28,7 @@ from htnrisk.nnet import (
     lstm_loss_and_grads,
     lstm_predict_proba,
     sigmoid,
+    split_gates,
     softplus,
     weighted_bce,
 )
@@ -158,14 +160,43 @@ def test_lr_nonfinite_input_raises(rng):
 def test_lstm_init_ranges_and_forget_bias(rng):
     params = init_lstm_params(5, 16, rng)
     s = 1.0 / math.sqrt(16)
-    np.testing.assert_array_equal(params.b_f, np.ones(16))
-    for name in LSTM_FIELDS:
-        if name == "b_f":
-            continue
-        value = np.atleast_1d(np.asarray(getattr(params, name)))
-        assert np.all(np.abs(value) <= s), name
-    assert params.W_i.shape == (5, 16)
-    assert params.U_i.shape == (16, 16)
+    assert params.W.shape == (5, 64)
+    assert params.U.shape == (16, 64)
+    assert params.b.shape == (64,)
+    b_i, b_f, b_o, b_g = split_gates(params.b)
+    np.testing.assert_array_equal(b_f, np.ones(16))
+    for name, value in [
+        ("W", params.W), ("U", params.U), ("b_i", b_i), ("b_o", b_o), ("b_g", b_g),
+        ("dense_w", params.dense_w), ("dense_b", params.dense_b),
+    ]:
+        assert np.all(np.abs(np.atleast_1d(value)) <= s), name
+
+
+def _per_gate_init(n_features, hidden, rng):
+    """Reference draw: one block per gate, in the order of the per-gate
+    model keys W_i..W_g, U_i..U_g, b_i..b_g (b_f fixed), dense_w, dense_b."""
+    s = 1.0 / math.sqrt(hidden)
+    blocks = {}
+    for kind, shape in (("W", (n_features, hidden)), ("U", (hidden, hidden)), ("b", (hidden,))):
+        for gate in "ifog":
+            if kind == "b" and gate == "f":
+                blocks["b_f"] = np.ones(hidden)
+            else:
+                blocks[f"{kind}_{gate}"] = rng.uniform(-s, s, size=shape)
+    blocks["dense_w"] = rng.uniform(-s, s, size=hidden)
+    blocks["dense_b"] = float(rng.uniform(-s, s))
+    return blocks
+
+
+def test_lstm_init_matches_per_gate_draw_order():
+    params = init_lstm_params(5, 7, np.random.default_rng(42))
+    ref = _per_gate_init(5, 7, np.random.default_rng(42))
+    assert GATES == "ifog"
+    for kind in ("W", "U", "b"):
+        for gate, block in zip(GATES, split_gates(getattr(params, kind))):
+            np.testing.assert_array_equal(block, ref[f"{kind}_{gate}"], err_msg=f"{kind}_{gate}")
+    np.testing.assert_array_equal(params.dense_w, ref["dense_w"])
+    assert params.dense_b == ref["dense_b"]
 
 
 def test_lstm_init_is_seed_deterministic():
@@ -179,17 +210,22 @@ def test_lstm_init_is_seed_deterministic():
 def test_lstm_vector_round_trip(rng):
     params = _random_lstm(rng, n_features=3, hidden=4)
     restored = LstmParams.from_vector(params.to_vector(), 3, 4)
-    for name in LSTM_FIELDS:
+    for field in dataclasses.fields(LstmParams):
         np.testing.assert_array_equal(
-            np.asarray(getattr(restored, name)), np.asarray(getattr(params, name)), err_msg=name
+            getattr(restored, field.name), getattr(params, field.name), err_msg=field.name
         )
 
 
 # -- LSTM forward against a scalar-loop oracle --------------------------------------
 
 def _scalar_forward(params, X_one):
-    """Plain-Python recurrence for one sequence; no numpy vectorization."""
-    F, H = params.W_i.shape
+    """Plain-Python recurrence for one sequence; no numpy vectorization.
+
+    Gate a's weights are column block a of the fused W, U and b."""
+    F, H = params.n_features, params.hidden
+    W = dict(zip("ifog", split_gates(params.W)))
+    U = dict(zip("ifog", split_gates(params.U)))
+    b = dict(zip("ifog", split_gates(params.b)))
     T = X_one.shape[0]
     h = [0.0] * H
     c = [0.0] * H
@@ -207,10 +243,10 @@ def _scalar_forward(params, X_one):
         nh = [0.0] * H
         nc = [0.0] * H
         for j in range(H):
-            zi = gate(params.W_i, params.U_i, params.b_i, x, h, j)
-            zf = gate(params.W_f, params.U_f, params.b_f, x, h, j)
-            zo = gate(params.W_o, params.U_o, params.b_o, x, h, j)
-            zg = gate(params.W_g, params.U_g, params.b_g, x, h, j)
+            zi = gate(W["i"], U["i"], b["i"], x, h, j)
+            zf = gate(W["f"], U["f"], b["f"], x, h, j)
+            zo = gate(W["o"], U["o"], b["o"], x, h, j)
+            zg = gate(W["g"], U["g"], b["g"], x, h, j)
             i = 1.0 / (1.0 + math.exp(-zi))
             f = 1.0 / (1.0 + math.exp(-zf))
             o = 1.0 / (1.0 + math.exp(-zo))
@@ -281,22 +317,19 @@ def test_lstm_parameter_gradients_match_finite_differences(rng):
 def test_lstm_l1_term_is_exact_and_limited_to_input_kernels(rng):
     F, H = 3, 4
     params = _random_lstm(rng, F, H)
-    params.W_f[0, 0] = 0.0
-    params.W_g[1, 2] = 0.0
+    split_gates(params.W)[1][0, 0] = 0.0  # W_f
+    split_gates(params.W)[3][1, 2] = 0.0  # W_g
     X, y, w = _random_batch(rng, n=3, T=6, F=F)
     lam = 0.01
     loss0, g0 = lstm_loss_and_grads(params, X, y, w, lam=0.0)
     loss1, g1 = lstm_loss_and_grads(params, X, y, w, lam=lam)
     assert loss1 - loss0 == pytest.approx(lstm_l1_penalty(params, lam), rel=1e-9)
-    for gate in "ifog":
-        W = getattr(params, f"W_{gate}")
-        dW = getattr(g1, f"W_{gate}") - getattr(g0, f"W_{gate}")
-        np.testing.assert_allclose(dW, lam * np.sign(W), atol=1e-15)
-        for prefix in ("U_", "b_"):
-            a = np.asarray(getattr(g1, f"{prefix}{gate}"))
-            b = np.asarray(getattr(g0, f"{prefix}{gate}"))
-            np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(g1.dense_w, g0.dense_w)
+    for gate, W, dW1, dW0 in zip(
+        GATES, split_gates(params.W), split_gates(g1.W), split_gates(g0.W)
+    ):
+        np.testing.assert_allclose(dW1 - dW0, lam * np.sign(W), atol=1e-15, err_msg=gate)
+    for name in ("U", "b", "dense_w"):
+        np.testing.assert_array_equal(getattr(g1, name), getattr(g0, name))
     assert g1.dense_b == g0.dense_b
 
 
@@ -333,6 +366,77 @@ def test_lstm_input_gradients_match_finite_differences(rng):
                     lstm_predict_proba(params, hi)[i] - lstm_predict_proba(params, lo)[i]
                 ) / (2 * eps)
                 assert abs(numeric - dX[i, t, f]) < 1e-8
+
+
+def _per_gate_bptt(params, X, dlogits, mask):
+    """Reference forward and BPTT with one matmul per gate and step, in
+    the loop form the fused code replaces: (per-gate grads, dX)."""
+    n, T, F = X.shape
+    H = params.hidden
+    W = dict(zip("ifog", split_gates(params.W)))
+    U = dict(zip("ifog", split_gates(params.U)))
+    b = dict(zip("ifog", split_gates(params.b)))
+    h = np.zeros((n, H)); c = np.zeros((n, H))
+    steps = []
+    for t in range(T):
+        x = X[:, t, :]
+        act = {a: x @ W[a] + h @ U[a] + b[a] for a in "ifog"}
+        i, f, o = (1.0 / (1.0 + np.exp(-act[a])) for a in "ifo")
+        g = np.tanh(act["g"])
+        steps.append((x, h, c, i, f, o, g))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    grads = {f"{k}_{a}": np.zeros_like(v[a]) for k, v in (("W", W), ("U", U), ("b", b)) for a in "ifog"}
+    dX = np.zeros_like(X)
+    dh = dlogits[:, None] * params.dense_w[None, :] * mask
+    dc_next = np.zeros((n, H))
+    c_t = c
+    for t in reversed(range(T)):
+        x, h_prev, c_prev, i, f, o, g = steps[t]
+        tc = np.tanh(c_t)
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dz = {
+            "i": dc * g * i * (1.0 - i),
+            "f": dc * c_prev * f * (1.0 - f),
+            "o": dh * tc * o * (1.0 - o),
+            "g": dc * i * (1.0 - g * g),
+        }
+        for a in "ifog":
+            grads[f"W_{a}"] += x.T @ dz[a]
+            grads[f"U_{a}"] += h_prev.T @ dz[a]
+            grads[f"b_{a}"] += dz[a].sum(axis=0)
+        dX[:, t, :] = sum(dz[a] @ W[a].T for a in "ifog")
+        dh = sum(dz[a] @ U[a].T for a in "ifog")
+        dc_next = dc * f
+        c_t = c_prev
+    grads["dense_w"] = (h * mask).T @ dlogits
+    grads["dense_b"] = float(dlogits.sum())
+    return grads, dX
+
+
+def test_lstm_fused_gradients_equal_per_gate_reference(rng):
+    F, H = 3, 5
+    params = _random_lstm(rng, F, H)
+    X, y, w = _random_batch(rng, n=4, T=6, F=F)
+    dropout_rng = np.random.default_rng(3)
+    _, grads = lstm_loss_and_grads(params, X, y, w, 0.0, 0.3, True, dropout_rng)
+    p, tape = lstm_forward(params, X, 0.3, True, np.random.default_rng(3))
+    ref, _ = _per_gate_bptt(params, X, w * (p - y) / len(y), tape.mask)
+    for kind in ("W", "U", "b"):
+        for gate, block in zip(GATES, split_gates(getattr(grads, kind))):
+            np.testing.assert_allclose(block, ref[f"{kind}_{gate}"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads.dense_w, ref["dense_w"], rtol=0, atol=1e-12)
+    assert grads.dense_b == pytest.approx(ref["dense_b"], abs=1e-12)
+
+
+def test_lstm_input_gradients_equal_full_bptt_input_gradient(rng):
+    F, H = 4, 5
+    params = _random_lstm(rng, F, H)
+    X = rng.normal(size=(3, 6, F))
+    p, dX = lstm_input_gradients(params, X)
+    assert dX.shape == X.shape
+    _, ref_dX = _per_gate_bptt(params, X, p * (1.0 - p), np.ones((3, H)))
+    np.testing.assert_allclose(dX, ref_dX, rtol=0, atol=1e-12)
 
 
 # -- dropout -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Optimizers against reference recurrences, the training loop, and model IO."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_grid_search_selection_follows_the_documented_tie_break(rng):
     X_val, y_val = _separable(rng, n=80, flip=0.2)
     base = TrainConfig(model_kind="lr", max_epochs=5, seed=1)
     grids = {"learning_rate": (1e-4, 1e-2), "l1_lambda": (0.0, 0.5), "batch_size": (32, 64)}
-    best, results = grid_search(base, (X, y), (X_val, y_val), grids)
+    best, _, _, results = grid_search(base, (X, y), (X_val, y_val), grids)
     assert len(results) == 8  # full cross product
     # winner = max AUROC, ties to smaller hidden, then smaller l1, then order
     expected = min(
@@ -374,7 +375,7 @@ def test_grid_search_tie_goes_to_enumeration_order(rng):
     base = TrainConfig(model_kind="lr", max_epochs=2, seed=0)
     # identical candidates by construction: AUROCs tie exactly
     grids = {"learning_rate": (1e-3, 1e-3), "l1_lambda": (0.0,), "batch_size": (64,)}
-    best, results = grid_search(base, (X, y), (X, y), grids)
+    best, _, _, results = grid_search(base, (X, y), (X, y), grids)
     assert results[0].val_auroc == results[1].val_auroc
     assert best == results[0].config
 
@@ -388,7 +389,7 @@ def test_grid_search_collapses_hidden_size_for_lr(rng):
         "batch_size": (64,),
         "hidden_size": (6, 12, 80, 120),
     }
-    _, results = grid_search(base, (X, y), (X, y), grids)
+    *_, results = grid_search(base, (X, y), (X, y), grids)
     assert len(results) == 1  # hidden size is not an lr hyperparameter
 
 
@@ -439,6 +440,34 @@ def test_lstm_model_round_trip_preserves_predictions(tmp_path, rng, make_timelin
     np.testing.assert_allclose(
         predict_proba("lstm", loaded, X), predict_proba("lstm", params, X), atol=1e-15
     )
+
+
+PER_GATE_MODEL = Path(__file__).parent / "data" / "lstm_per_gate_model.json"
+
+
+def test_per_gate_model_file_loads_and_resaves_byte_identically(tmp_path):
+    # Written by the per-gate LSTM code that predates the fused layout.
+    kind, params, schema, training = load_model(PER_GATE_MODEL)
+    assert kind == "lstm" and (params.n_features, params.hidden) == (24, 4)
+    path = tmp_path / "model.json"
+    save_model(path, kind, params, schema, training)
+    assert path.read_bytes() == PER_GATE_MODEL.read_bytes()
+
+
+def test_per_gate_model_file_predicts_with_its_per_gate_weights(rng):
+    from htnrisk.artifacts import read_json
+
+    raw = {k: np.asarray(v) for k, v in read_json(PER_GATE_MODEL)["weights"].items()}
+    _, params, _, _ = load_model(PER_GATE_MODEL)
+    X = rng.normal(size=(5, 6, 24))
+    h = np.zeros((5, 4)); c = np.zeros((5, 4))
+    for t in range(6):
+        z = {a: X[:, t] @ raw[f"W_{a}"] + h @ raw[f"U_{a}"] + raw[f"b_{a}"] for a in "ifog"}
+        i, f, o = (1.0 / (1.0 + np.exp(-z[a])) for a in "ifo")
+        c = f * c + i * np.tanh(z["g"])
+        h = o * np.tanh(c)
+    expected = 1.0 / (1.0 + np.exp(-(h @ raw["dense_w"] + raw["dense_b"])))
+    np.testing.assert_allclose(predict_proba("lstm", params, X), expected, rtol=0, atol=1e-14)
 
 
 def test_load_model_rejects_unknown_format(tmp_path):
