@@ -80,11 +80,6 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-def write_kv_config(path: str | Path, values: dict[str, Any]) -> None:
-    lines = [f"{k}={values[k]}" for k in values]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 # -- run manifests -----------------------------------------------------------
 
 def write_manifest(

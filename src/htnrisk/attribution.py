@@ -16,17 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import format_number
-from .nnet import LrParams, LstmParams, lr_input_gradients, lstm_input_gradients
+from .nnet import LrParams, LstmParams, lstm_input_gradients
 
 DEFAULT_STEPS = 128
 
 #: A scorer maps a stack of m inputs (m, *shape) to m scalar outputs and
 #: the m output gradients with respect to each input element.
 Scorer = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def lr_scorer(params: LrParams) -> Scorer:
-    return lambda points: lr_input_gradients(params, points)
 
 
 def lstm_scorer(params: LstmParams) -> Scorer:

@@ -316,17 +316,35 @@ def cohort_to_dict(cohort: Cohort) -> dict:
 
 
 def cohort_from_dict(data: dict) -> Cohort:
-    if data.get("format") != SAMPLES_FORMAT:
-        raise DataError(f"unsupported samples format {data.get('format')!r}")
+    """Inverse of cohort_to_dict.
+
+    A missing top-level key, a sample of an unknown patient, a target index
+    outside its patient's timeline (or at 0, which leaves no history), and an
+    unknown split name are each a DataError.
+    """
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != SAMPLES_FORMAT:
+        raise DataError(f"unsupported samples format {fmt!r}")
+    for key in ("horizon_days", "total_patients", "exclusion_tally", "patients", "samples"):
+        if key not in data:
+            raise DataError(f"samples file lacks {key}")
     timelines = {}
     splits = {}
     for patient, entry in data["patients"].items():
+        if entry["split"] not in SPLIT_NAMES:
+            raise DataError(f"patient {patient}: unknown split {entry['split']!r}")
         timelines[patient] = [encounter_from_dict(e) for e in entry["encounters"]]
         splits[patient] = entry["split"]
     samples = []
     for row in data["samples"]:
+        if row["patient"] not in timelines:
+            raise DataError(f"sample of unknown patient {row['patient']!r}")
         timeline = timelines[row["patient"]]
         idx = row["target_index"]
+        if type(idx) is not int or not 1 <= idx < len(timeline):
+            raise DataError(
+                f"patient {row['patient']}: target_index {idx!r} outside 1..{len(timeline) - 1}"
+            )
         target = timeline[idx]
         samples.append(
             CohortSample(

@@ -3,15 +3,17 @@
 A `FeatureSchema` is fitted on the training split only and then applied
 as a pure function everywhere: min-max scaling, mean imputation with
 missingness indicators, one-hot demographics, and binary indicators for
-medication families, retained lab panels, and problem codes. Sequence
-inputs are the last six visits, zero-padded on the left; the flat input
-for the linear model adds a seven-visit blood-pressure lag block.
+medication families, retained lab panels, and problem codes. Each visit
+is featurized once into a per-patient row block: sequence inputs are
+slices of its last six rows, zero-padded on the left, and the flat input
+for the linear model gathers the last row plus a seven-visit
+blood-pressure lag block from it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -131,18 +133,40 @@ def _record_columns(schema: FeatureSchema) -> list[str]:
     return cols
 
 
-def _lr_lag_columns(schema: FeatureSchema) -> list[str]:
-    cols: list[str] = []
-    for k in range(1, BP_LAG_DEPTH + 1):
-        for base in ("systolic", "diastolic", "bp_status"):
-            if schema.numeric[base].retained:
-                cols.append(f"{base}_lag{k}")
-                cols.append(f"{base}_lag{k}__missing")
+def _lag_sources(schema: FeatureSchema) -> list[tuple[str, str, int]]:
+    """(variable, suffix, k) of each lag-block column, in order: it copies
+    record column variable + suffix from the k-th most recent visit."""
+    lags = [
+        (base, k)
+        for k in range(1, BP_LAG_DEPTH + 1)
+        for base in ("systolic", "diastolic", "bp_status")
+        if schema.numeric[base].retained
+    ]
     if schema.numeric["bp_fraction"].retained:
-        cols.append("bp_fraction_lag1")
-        cols.append("bp_fraction_lag1__missing")
-    cols.append("time_between_visits")
-    return cols
+        lags.append(("bp_fraction", 1))
+    return [(base, suffix, k) for base, k in lags for suffix in ("", "__missing")]
+
+
+def _layout(schema: FeatureSchema) -> tuple[list[str], list[str]]:
+    """The per-record and flat-model columns the statistics define."""
+    columns = _record_columns(schema)
+    lags = [f"{base}_lag{k}{suffix}" for base, suffix, k in _lag_sources(schema)]
+    return columns, columns + lags + ["time_between_visits"]
+
+
+def _longest_histories(samples: list[CohortSample]) -> dict[str, list[EncounterRecord]]:
+    """Each patient's longest history, keyed in sorted patient order.
+
+    Every sample slices its patient's timeline as `timeline[:target_index]`,
+    so each other history of that patient is a prefix of the longest one.
+    """
+    longest: dict[str, list[EncounterRecord]] = {}
+    for sample in samples:
+        if not sample.history:
+            raise ValueError("sample has empty history")
+        if len(sample.history) > len(longest.get(sample.patient, ())):
+            longest[sample.patient] = sample.history
+    return {patient: longest[patient] for patient in sorted(longest)}
 
 
 def fit_schema(train_samples: list[CohortSample]) -> FeatureSchema:
@@ -155,19 +179,12 @@ def fit_schema(train_samples: list[CohortSample]) -> FeatureSchema:
     if not train_samples:
         raise DataError("cannot fit schema: empty training split")
 
-    longest: dict[str, CohortSample] = {}
-    for sample in train_samples:
-        best = longest.get(sample.patient)
-        if best is None or sample.target_index > best.target_index:
-            longest[sample.patient] = sample
-
     observed: dict[str, list[float]] = {name: [] for name in NUMERIC_VARIABLES}
     vocab: dict[str, set[str]] = {var: set() for var in DEMOGRAPHIC_NAMES}
     panel_counts: dict[str, int] = {}
     codes: set[str] = set()
     n_encounters = 0
-    for patient in sorted(longest):
-        history = longest[patient].history
+    for history in _longest_histories(train_samples).values():
         for i, enc in enumerate(history):
             n_encounters += 1
             prev_date = history[i - 1].date if i > 0 else None
@@ -185,34 +202,11 @@ def fit_schema(train_samples: list[CohortSample]) -> FeatureSchema:
 
     numeric: dict[str, NumericStats] = {}
     for name in NUMERIC_VARIABLES:
-        values = observed[name]
-        missing_rate = 1.0 - len(values) / n_encounters
-        retained = missing_rate <= MISSING_DROP_RATE
-        if retained and not values:
-            raise DataError(f"variable {name}: retained but never observed in training data")
-        if values:
-            numeric[name] = NumericStats(
-                mean=float(np.mean(values)),
-                min=float(np.min(values)),
-                max=float(np.max(values)),
-                missing_rate=missing_rate,
-                retained=retained,
-            )
-        else:
-            numeric[name] = NumericStats(
-                mean=0.0, min=0.0, max=0.0, missing_rate=missing_rate, retained=False
-            )
-
-    horizons = [
-        float((s.target_date - s.history[-1].date).days) for s in train_samples
-    ]
-    numeric["time_between_visits"] = NumericStats(
-        mean=float(np.mean(horizons)),
-        min=float(np.min(horizons)),
-        max=float(np.max(horizons)),
-        missing_rate=0.0,
-        retained=True,
-    )
+        # A never-observed variable is missing at rate 1, so it is dropped.
+        missing_rate = 1.0 - len(observed[name]) / n_encounters
+        numeric[name] = _summary(observed[name], missing_rate, missing_rate <= MISSING_DROP_RATE)
+    horizons = [float((s.target_date - s.history[-1].date).days) for s in train_samples]
+    numeric["time_between_visits"] = _summary(horizons, 0.0, True)
 
     schema = FeatureSchema(
         numeric=numeric,
@@ -228,9 +222,15 @@ def fit_schema(train_samples: list[CohortSample]) -> FeatureSchema:
         n_encounters=n_encounters,
         n_samples=len(train_samples),
     )
-    schema.columns = _record_columns(schema)
-    schema.lr_columns = schema.columns + _lr_lag_columns(schema)
+    schema.columns, schema.lr_columns = _layout(schema)
     return schema
+
+
+def _summary(values: list[float], missing_rate: float, retained: bool) -> NumericStats:
+    if not values:
+        return NumericStats(0.0, 0.0, 0.0, missing_rate, retained)
+    mean, low, high = (float(f(values)) for f in (np.mean, np.min, np.max))
+    return NumericStats(mean, low, high, missing_rate, retained)
 
 
 def impute(value: float | None, stats: NumericStats) -> tuple[float, float]:
@@ -300,136 +300,132 @@ def transform_record(
     return np.array(values, dtype=np.float64)
 
 
-def build_sequence(sample: CohortSample, schema: FeatureSchema) -> np.ndarray:
-    """Last six visits as a (6, F) array, left-padded with zero rows."""
-    if not sample.history:
-        raise ValueError("sample has empty history")
-    history = sample.history
-    take = min(SEQUENCE_LENGTH, len(history))
-    out = np.zeros((SEQUENCE_LENGTH, schema.width))
-    for pos in range(take):
-        idx = len(history) - take + pos
-        prev_date = history[idx - 1].date if idx > 0 else None
-        out[SEQUENCE_LENGTH - take + pos] = transform_record(
-            history[idx], prev_date, schema
-        )
-    return out
+def _visit_rows(
+    samples: list[CohortSample], schema: FeatureSchema
+) -> tuple[np.ndarray, np.ndarray]:
+    """Featurize every visit the samples read, each exactly once.
 
-
-def build_lr_input(sample: CohortSample, schema: FeatureSchema) -> np.ndarray:
-    """Flat input: last-visit features plus the BP lag block.
-
-    Lag k reads the k-th most recent history visit; lags beyond the
-    available history (or with an unreadable BP) are imputed with the
-    base variable's train mean and flagged. The trailing column is the
-    scaled gap between the last visit and the target date.
+    Returns the (visits, F) record rows, each patient's visits contiguous
+    and oldest first, and for each sample the row of its last history
+    visit: its history is the rows ending there.
     """
-    if not sample.history:
-        raise ValueError("sample has empty history")
-    history = sample.history
-    last = history[-1]
-    prev_date = history[-2].date if len(history) > 1 else None
-    values = list(transform_record(last, prev_date, schema))
-    for k in range(1, BP_LAG_DEPTH + 1):
-        idx = len(history) - k
-        enc = history[idx] if idx >= 0 else None
-        for base in ("systolic", "diastolic", "bp_status"):
-            stats = schema.numeric[base]
-            if not stats.retained:
-                continue
-            raw = None if enc is None else _numeric_value(enc, base, None)
-            scaled, indicator = _scaled(raw, stats)
-            values.append(scaled)
-            values.append(indicator)
-    if schema.numeric["bp_fraction"].retained:
-        scaled, indicator = _scaled(
-            compute_bp_fraction(last.systolic, last.diastolic),
-            schema.numeric["bp_fraction"],
-        )
-        values.append(scaled)
-        values.append(indicator)
-    horizon = float((sample.target_date - last.date).days)
-    values.append(scale_minmax(horizon, schema.numeric["time_between_visits"]))
-    return np.array(values, dtype=np.float64)
+    longest = _longest_histories(samples)
+    rows = np.empty((sum(map(len, longest.values())), schema.width))
+    first: dict[str, int] = {}
+    r = 0
+    for patient, history in longest.items():
+        first[patient] = r
+        for i, enc in enumerate(history):
+            rows[r + i] = transform_record(enc, history[i - 1].date if i else None, schema)
+        r += len(history)
+    last = np.array([first[s.patient] + len(s.history) - 1 for s in samples], dtype=np.intp)
+    return rows, last
 
 
 def featurize_sequences(
     samples: list[CohortSample], schema: FeatureSchema
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sequence inputs: (n, 6, F) plus the label vector."""
+    """Stack sequence inputs: (n, 6, F) plus the label vector.
+
+    Each input is the last six visits, left-padded with zero rows.
+    """
+    rows, last = _visit_rows(samples, schema)
     X = np.zeros((len(samples), SEQUENCE_LENGTH, schema.width))
-    y = np.zeros(len(samples))
     for i, sample in enumerate(samples):
-        X[i] = build_sequence(sample, schema)
-        y[i] = float(sample.label)
-    return X, y
+        take = min(SEQUENCE_LENGTH, len(sample.history))
+        X[i, SEQUENCE_LENGTH - take :] = rows[last[i] - take + 1 : last[i] + 1]
+    return X, np.array([float(s.label) for s in samples])
 
 
 def featurize_lr(
     samples: list[CohortSample], schema: FeatureSchema
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack flat inputs: (n, F_lr) plus the label vector."""
-    X = np.zeros((len(samples), schema.lr_width))
-    y = np.zeros(len(samples))
-    for i, sample in enumerate(samples):
-        X[i] = build_lr_input(sample, schema)
-        y[i] = float(sample.label)
-    return X, y
+    """Stack flat inputs: (n, F_lr) plus the label vector.
+
+    A flat input is the last visit's record, then the BP lag block: lag k
+    reads the k-th most recent history visit, and a lag beyond the history,
+    like a missing reading, holds the imputed train mean, flagged. The
+    trailing column is the scaled gap between the last visit and the target.
+    """
+    rows, last = _visit_rows(samples, schema)
+    depth = np.array([len(s.history) for s in samples])
+    X = np.empty((len(samples), schema.lr_width))
+    X[:, : schema.width] = rows[last]
+    for j, (base, suffix, k) in enumerate(_lag_sources(schema), start=schema.width):
+        have = depth >= k
+        X[~have, j] = _scaled(None, schema.numeric[base])[1 if suffix else 0]
+        X[have, j] = rows[last[have] - (k - 1), schema.columns.index(base + suffix)]
+    horizon = schema.numeric["time_between_visits"]
+    X[:, -1] = [
+        scale_minmax(float((s.target_date - s.history[-1].date).days), horizon)
+        for s in samples
+    ]
+    return X, np.array([float(s.label) for s in samples])
 
 
 # -- schema artifact ----------------------------------------------------------
 
 def schema_to_dict(schema: FeatureSchema) -> dict:
-    return {
-        "format": SCHEMA_FORMAT,
-        "numeric": {
-            name: {
-                "mean": s.mean,
-                "min": s.min,
-                "max": s.max,
-                "missing_rate": s.missing_rate,
-                "retained": s.retained,
-            }
-            for name, s in schema.numeric.items()
-        },
-        "categorical": dict(schema.categorical),
-        "lab_panels": {
-            panel: {"frequency": s.frequency, "retained": s.retained}
-            for panel, s in schema.lab_panels.items()
-        },
-        "problem_codes": list(schema.problem_codes),
-        "columns": list(schema.columns),
-        "lr_columns": list(schema.lr_columns),
-        "n_encounters": schema.n_encounters,
-        "n_samples": schema.n_samples,
-    }
+    return {"format": SCHEMA_FORMAT, **asdict(schema)}
+
+
+_KINDS = {dict: "an object", list: "a list of strings", float: "a number",
+          int: "an integer", bool: "a boolean"}
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], present and of `kind`, else a DataError.
+
+    A number may be an int; a bool is never a number; lists hold strings.
+    """
+    value = obj.get(key) if isinstance(obj, dict) else None
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if kind is list and ok:
+        ok = all(isinstance(item, str) for item in value)
+    if not ok or (isinstance(value, bool) and kind is not bool):
+        raise DataError(f"{where}.{key} is missing or not {_KINDS[kind]}")
+    return value
+
+
+def _stats(cls, group: dict, name: str, where: str):
+    obj = _field(group, name, dict, where)
+    kinds = {f.name: bool if f.type == "bool" else float for f in fields(cls)}
+    return cls(**{key: _field(obj, key, kind, f"{where}.{name}") for key, kind in kinds.items()})
 
 
 def schema_from_dict(data: dict) -> FeatureSchema:
-    if data.get("format") != SCHEMA_FORMAT:
-        raise DataError(f"unsupported schema format {data.get('format')!r}")
-    return FeatureSchema(
-        numeric={
-            name: NumericStats(
-                mean=s["mean"],
-                min=s["min"],
-                max=s["max"],
-                missing_rate=s["missing_rate"],
-                retained=s["retained"],
-            )
-            for name, s in data["numeric"].items()
-        },
-        categorical={var: list(vocab) for var, vocab in data["categorical"].items()},
-        lab_panels={
-            panel: LabStats(frequency=s["frequency"], retained=s["retained"])
-            for panel, s in data["lab_panels"].items()
-        },
-        problem_codes=list(data["problem_codes"]),
-        columns=list(data["columns"]),
-        lr_columns=list(data["lr_columns"]),
-        n_encounters=data["n_encounters"],
-        n_samples=data["n_samples"],
+    """Inverse of schema_to_dict.
+
+    A missing key, a value of the wrong type, or stored columns that differ
+    from the ones the statistics define is a DataError.
+    """
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != SCHEMA_FORMAT:
+        raise DataError(f"unsupported schema format {fmt!r}")
+    numeric, categorical, lab_panels = (
+        _field(data, key, dict, "schema") for key in ("numeric", "categorical", "lab_panels")
     )
+    schema = FeatureSchema(
+        numeric={
+            name: _stats(NumericStats, numeric, name, "schema.numeric")
+            for name in dict.fromkeys([*numeric, *NUMERIC_VARIABLES, "time_between_visits"])
+        },
+        categorical={
+            var: _field(categorical, var, list, "schema.categorical")
+            for var in dict.fromkeys([*categorical, *DEMOGRAPHIC_NAMES])
+        },
+        lab_panels={
+            panel: _stats(LabStats, lab_panels, panel, "schema.lab_panels") for panel in lab_panels
+        },
+        problem_codes=_field(data, "problem_codes", list, "schema"),
+        columns=_field(data, "columns", list, "schema"),
+        lr_columns=_field(data, "lr_columns", list, "schema"),
+        n_encounters=_field(data, "n_encounters", int, "schema"),
+        n_samples=_field(data, "n_samples", int, "schema"),
+    )
+    if (schema.columns, schema.lr_columns) != _layout(schema):
+        raise DataError("schema columns differ from the ones its statistics define")
+    return schema
 
 
 def schema_hash(schema: FeatureSchema) -> str:
@@ -443,8 +439,8 @@ def export_sequence_csv(samples, schema, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["sample", "timestep"] + schema.columns)
-        for sample in samples:
-            seq = build_sequence(sample, schema)
+        X, _ = featurize_sequences(samples, schema)
+        for sample, seq in zip(samples, X):
             name = f"{sample.patient}:{sample.target_index}"
             for t in range(SEQUENCE_LENGTH):
                 writer.writerow([name, t] + [format_number(v) for v in seq[t]])
@@ -455,7 +451,7 @@ def export_lr_csv(samples, schema, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["sample"] + schema.lr_columns)
-        for sample in samples:
-            vec = build_lr_input(sample, schema)
+        X, _ = featurize_lr(samples, schema)
+        for sample, vec in zip(samples, X):
             name = f"{sample.patient}:{sample.target_index}"
             writer.writerow([name] + [format_number(v) for v in vec])

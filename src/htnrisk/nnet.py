@@ -74,9 +74,6 @@ class LrParams:
     def from_vector(cls, vec: np.ndarray, n_features: int) -> "LrParams":
         return cls(w=vec[:n_features].copy(), b=float(vec[n_features]))
 
-    def copy(self) -> "LrParams":
-        return LrParams(w=self.w.copy(), b=self.b)
-
 
 def init_lr_params(n_features: int) -> LrParams:
     # Zero start: the loss is convex, so no symmetry needs breaking.
@@ -121,13 +118,6 @@ def lr_loss_and_grads(
     grad_b = float(dz.sum())
     _require_finite("lr gradients", grad_w, np.array([grad_b, loss]))
     return loss, LrParams(w=grad_w, b=grad_b)
-
-
-def lr_input_gradients(params: LrParams, X: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, d probability / d input) for a batch."""
-    p = lr_forward(params, X)
-    dX = (p * (1.0 - p))[:, None] * params.w[None, :]
-    return p, dX
 
 
 # -- LSTM ----------------------------------------------------------------------

@@ -358,40 +358,3 @@ def write_cohort(tables: Tables, out_dir) -> list[Path]:
         written.append(path)
     return written
 
-
-def population_summary(tables: Tables) -> dict[str, dict]:
-    """Per-variable count/mean/std/missing over the encounter table.
-
-    Lab panels report order counts with missing = 1 - orders/encounters
-    (panels are at most once per visit by construction).
-    """
-    n = len(tables.encounters)
-    summary: dict[str, dict] = {}
-
-    def numeric(name: str, values: list[float]) -> None:
-        if values:
-            summary[name] = {
-                "count": len(values),
-                "mean": float(np.mean(values)),
-                "std": float(np.std(values)),
-                "missing": 1.0 - len(values) / n,
-            }
-        else:
-            summary[name] = {"count": 0, "mean": None, "std": None, "missing": 1.0}
-
-    numeric("systolic", [e.systolic for e in tables.encounters if e.systolic is not None])
-    numeric("diastolic", [e.diastolic for e in tables.encounters if e.diastolic is not None])
-    numeric("age", [e.age for e in tables.encounters])
-    for name in VITAL_NAMES:
-        numeric(name, [e.vitals[name] for e in tables.encounters if name in e.vitals])
-    per_panel: dict[str, int] = {}
-    for event in tables.labs:
-        per_panel[event.panel_name] = per_panel.get(event.panel_name, 0) + 1
-    for panel, count in sorted(per_panel.items()):
-        summary[f"lab:{panel}"] = {
-            "count": count,
-            "mean": 1.0,
-            "std": 0.0,
-            "missing": 1.0 - count / n,
-        }
-    return summary

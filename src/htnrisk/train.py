@@ -471,7 +471,8 @@ def model_from_dict(data: dict):
     """Inverse of model_to_dict: (kind, params, schema, training).
 
     Every weight is checked against the recorded shapes before the LSTM
-    gates are joined, so a damaged file is a DataError.
+    gates are joined, and the shapes against the schema's feature width,
+    so a damaged file is a DataError.
     """
     from .featurize import schema_from_dict
 
@@ -503,7 +504,11 @@ def model_from_dict(data: dict):
         )
     else:
         raise DataError(f"unknown model kind {kind!r}")
-    return kind, params, schema_from_dict(data["schema"]), data["training"]
+    schema = schema_from_dict(data["schema"])
+    width = schema.lr_width if kind == "lr" else schema.width
+    if F != width:
+        raise DataError(f"model shapes.n_features is {F}, but its schema makes {width} features")
+    return kind, params, schema, data["training"]
 
 
 def save_model(path, model_kind: str, params, schema, training: dict) -> None:

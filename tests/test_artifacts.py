@@ -13,7 +13,6 @@ from htnrisk.artifacts import (
     read_kv_config,
     sha256_file,
     write_json,
-    write_kv_config,
     write_manifest,
 )
 
@@ -80,7 +79,7 @@ def test_format_number_round_trips_float64():
 
 def test_kv_config_round_trip(tmp_path):
     path = tmp_path / "c.kv"
-    write_kv_config(path, {"alpha": 0.5, "n": 3, "name": "lr"})
+    path.write_text("alpha=0.5\nn=3\nname=lr\n", encoding="utf-8")
     assert read_kv_config(path) == {"alpha": "0.5", "n": "3", "name": "lr"}
 
 

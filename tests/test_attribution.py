@@ -7,7 +7,6 @@ from htnrisk.attribution import (
     aggregate_sequence_attributions,
     completeness_gap,
     integrated_gradients,
-    lr_scorer,
     lstm_scorer,
     population_attributions,
     rank_features,
@@ -120,17 +119,6 @@ def test_ig_completeness_gap_shrinks_with_steps(rng):
     gaps = [completeness_gap(scorer, x, baseline, steps) for steps in (4, 16, 64)]
     assert gaps[1] < gaps[0]
     assert gaps[2] < gaps[1]
-
-
-def test_lr_scorer_matches_closed_form(rng):
-    params = LrParams(w=rng.normal(size=3), b=0.1)
-    scorer = lr_scorer(params)
-    points = rng.normal(size=(5, 3))
-    values, grads = scorer(points)
-    z = points @ params.w + params.b
-    p = 1.0 / (1.0 + np.exp(-z))
-    np.testing.assert_allclose(values, p, atol=1e-12)
-    np.testing.assert_allclose(grads, (p * (1 - p))[:, None] * params.w[None, :], atol=1e-12)
 
 
 def test_lstm_scorer_is_deterministic_and_matches_predict(rng):

@@ -242,14 +242,62 @@ def test_truncated_samples_file_is_a_data_error(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def _evaluate_damaged_lstm(pipeline, tmp_path, damage) -> int:
-    model = read_json(pipeline["lstm"] / "model.json")
-    damage(model["weights"])
+def _featurize_damaged_samples(pipeline, tmp_path, damage) -> int:
+    data = read_json(pipeline["cohort"] / "samples.json")
+    damage(data)
+    path = tmp_path / "samples.json"
+    write_json(path, data)
+    return main(["featurize", "--samples", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_samples_file_missing_a_key_is_a_data_error(pipeline, tmp_path, capsys):
+    assert _featurize_damaged_samples(pipeline, tmp_path, lambda d: d.pop("patients")) == 2
+    assert capsys.readouterr().err == "error: featurize: samples file lacks patients\n"
+
+
+def test_sample_of_an_unknown_patient_is_a_data_error(pipeline, tmp_path, capsys):
+    def rename(data):
+        data["samples"][0]["patient"] = "nobody"
+
+    assert _featurize_damaged_samples(pipeline, tmp_path, rename) == 2
+    assert capsys.readouterr().err == "error: featurize: sample of unknown patient 'nobody'\n"
+
+
+@pytest.mark.parametrize("target_index", [0, 999])
+def test_target_index_outside_the_timeline_is_a_data_error(
+    pipeline, tmp_path, capsys, target_index
+):
+    def move(data):
+        data["samples"][0]["target_index"] = target_index
+
+    assert _featurize_damaged_samples(pipeline, tmp_path, move) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: featurize: patient ") and err.count("\n") == 1
+    assert f"target_index {target_index} outside 1.." in err
+
+
+def test_unknown_split_is_a_data_error(pipeline, tmp_path, capsys):
+    def relabel(data):
+        next(iter(data["patients"].values()))["split"] = "bogus"
+
+    assert _featurize_damaged_samples(pipeline, tmp_path, relabel) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: featurize: patient ") and err.endswith(": unknown split 'bogus'\n")
+    assert err.count("\n") == 1
+
+
+def _evaluate_damaged_model(pipeline, tmp_path, damage, kind="lstm") -> int:
+    model = read_json(pipeline[kind] / "model.json")
+    damage(model)
     path = tmp_path / "model.json"
     write_json(path, model)
     return main(["evaluate", "--model", str(path),
                  "--samples", str(pipeline["cohort"] / "samples.json"),
                  "--out", str(tmp_path / "out")])
+
+
+def _evaluate_damaged_lstm(pipeline, tmp_path, damage) -> int:
+    return _evaluate_damaged_model(pipeline, tmp_path, lambda model: damage(model["weights"]))
 
 
 def test_model_missing_a_gate_weight_is_a_data_error(pipeline, tmp_path, capsys):
@@ -265,6 +313,50 @@ def test_gate_weight_of_the_wrong_shape_is_a_data_error(pipeline, tmp_path, caps
     assert _evaluate_damaged_lstm(pipeline, tmp_path, drop_rows) == 2
     assert capsys.readouterr().err == (
         f"error: evaluate: model weight W_i has shape ({F - 3}, 8), expected ({F}, 8)\n"
+    )
+
+
+def test_schema_missing_a_key_is_a_data_error(pipeline, tmp_path, capsys):
+    damage = lambda model: model["schema"].pop("numeric")
+    assert _evaluate_damaged_model(pipeline, tmp_path, damage) == 2
+    assert capsys.readouterr().err == (
+        "error: evaluate: schema.numeric is missing or not an object\n"
+    )
+
+
+def test_schema_value_of_the_wrong_type_is_a_data_error(pipeline, tmp_path, capsys):
+    def retype(model):
+        model["schema"]["numeric"]["systolic"]["mean"] = "high"
+
+    assert _evaluate_damaged_model(pipeline, tmp_path, retype) == 2
+    assert capsys.readouterr().err == (
+        "error: evaluate: schema.numeric.systolic.mean is missing or not a number\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["columns", "lr_columns"])
+def test_schema_one_column_short_is_a_data_error(pipeline, tmp_path, capsys, key):
+    damage = lambda model: model["schema"][key].pop()
+    assert _evaluate_damaged_model(pipeline, tmp_path, damage) == 2
+    assert capsys.readouterr().err == (
+        "error: evaluate: schema columns differ from the ones its statistics define\n"
+    )
+
+
+def test_model_width_other_than_its_schema_is_a_data_error(pipeline, tmp_path, capsys):
+    # An LR model cut to the per-record width: its weights match its
+    # shapes, but the flat input it reads is wider.
+    def narrow(model):
+        width = len(model["schema"]["columns"])
+        model["shapes"]["n_features"] = width
+        model["weights"]["w"] = model["weights"]["w"][:width]
+
+    assert _evaluate_damaged_model(pipeline, tmp_path, narrow, kind="lr") == 2
+    schema = read_json(pipeline["features"] / "schema.json")
+    width, lr_width = len(schema["columns"]), len(schema["lr_columns"])
+    assert capsys.readouterr().err == (
+        f"error: evaluate: model shapes.n_features is {width}, "
+        f"but its schema makes {lr_width} features\n"
     )
 
 

@@ -101,6 +101,19 @@ def test_records_per_year_needs_two_in_every_fiscal_year(make_encounter):
     assert tally["records_per_year"] == 1
 
 
+def test_records_per_year_keeps_a_patient_with_one_dense_year(make_encounter):
+    # Two visits in one fiscal year and one in another: the rule fires only
+    # when every spanned year has fewer than two, so this patient stays.
+    visits = [
+        make_encounter(when=date(2022, 12, 20)),
+        make_encounter(when=date(2023, 1, 15)),
+        make_encounter(when=date(2023, 3, 1)),
+    ]
+    included, tally = apply_cohort_exclusions({"p1": visits})
+    assert tally["records_per_year"] == 0
+    assert list(included) == ["p1"]
+
+
 def test_fiscal_year_start_shifts_the_rule(make_encounter):
     # Both visits fall in one October-to-September fiscal year; with
     # calendar years the patient has a single visit in each.

@@ -5,14 +5,19 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from htnrisk.cohort import build_samples, select_cohort, split_patients
-from htnrisk.ehr_core import DataError
+import htnrisk.featurize as featurize
+from htnrisk.cohort import (
+    build_samples,
+    compute_bp_fraction,
+    label_bp_status,
+    select_cohort,
+    split_patients,
+)
+from htnrisk.ehr_core import DataError, merge_patient_timeline
 from htnrisk.featurize import (
     BP_LAG_DEPTH,
     NumericStats,
     SEQUENCE_LENGTH,
-    build_lr_input,
-    build_sequence,
     encode_onehot,
     featurize_lr,
     featurize_sequences,
@@ -24,6 +29,7 @@ from htnrisk.featurize import (
     schema_to_dict,
     transform_record,
 )
+from htnrisk.synth import GeneratorConfig, generate_cohort
 
 STATS = NumericStats(mean=100.0, min=80.0, max=120.0, missing_rate=0.1, retained=True)
 
@@ -173,10 +179,20 @@ def test_delta_time_is_zero_on_first_visit(make_timeline):
 
 # -- sequence construction -------------------------------------------------------
 
+def _sequence_of(sample, schema):
+    X, _ = featurize_sequences([sample], schema)
+    return X[0]
+
+
+def _lr_input_of(sample, schema):
+    X, _ = featurize_lr([sample], schema)
+    return X[0]
+
+
 def test_build_sequence_left_pads_short_history(make_timeline):
     samples = _samples(make_timeline, n_visits=3)
     schema = fit_schema(samples)
-    seq = build_sequence(samples[0], schema)  # history of 1
+    seq = _sequence_of(samples[0], schema)  # history of 1
     assert seq.shape == (SEQUENCE_LENGTH, schema.width)
     assert np.all(seq[: SEQUENCE_LENGTH - 1] == 0.0)
     assert np.any(seq[-1] != 0.0)
@@ -189,7 +205,7 @@ def test_build_sequence_takes_last_six_visits(make_timeline):
     samples = build_samples(timeline)
     schema = fit_schema(samples)
     last = samples[-1]  # history of 8 visits
-    seq = build_sequence(last, schema)
+    seq = _sequence_of(last, schema)
     idx = schema.columns.index("weight")
     stats = schema.numeric["weight"]
     got = [seq[t, idx] * (stats.max - stats.min) + stats.min for t in range(SEQUENCE_LENGTH)]
@@ -200,7 +216,7 @@ def test_sequence_rows_match_transform_record(make_timeline):
     samples = _samples(make_timeline, n_visits=5)
     schema = fit_schema(samples)
     sample = samples[2]  # history of 3
-    seq = build_sequence(sample, schema)
+    seq = _sequence_of(sample, schema)
     for pos, enc in enumerate(sample.history):
         prev = sample.history[pos - 1].date if pos > 0 else None
         expected = transform_record(enc, prev, schema)
@@ -212,7 +228,7 @@ def test_sequence_rows_match_transform_record(make_timeline):
 def test_build_lr_input_width_and_horizon(make_timeline):
     samples = _samples(make_timeline, n_visits=5)
     schema = fit_schema(samples)
-    vec = build_lr_input(samples[-1], schema)
+    vec = _lr_input_of(samples[-1], schema)
     assert vec.shape == (schema.lr_width,)
     # constant 30-day horizon collapses to 0 under min-max
     assert vec[schema.lr_columns.index("time_between_visits")] == 0.0
@@ -233,7 +249,7 @@ def test_lr_lags_decode_to_raw_history(make_encounter, rng):
     samples = build_samples(timeline)
     schema = fit_schema(samples)
     sample = samples[-1]
-    vec = build_lr_input(sample, schema)
+    vec = _lr_input_of(sample, schema)
     cols = schema.lr_columns
     for k in range(1, BP_LAG_DEPTH + 1):
         enc = sample.history[-k]
@@ -249,7 +265,7 @@ def test_lr_lags_beyond_history_impute_and_flag(make_timeline):
     samples = _samples(make_timeline, n_visits=4)
     schema = fit_schema(samples)
     sample = samples[0]  # history of 1: lags 2..7 are absent
-    vec = build_lr_input(sample, schema)
+    vec = _lr_input_of(sample, schema)
     cols = schema.lr_columns
     assert vec[cols.index("systolic_lag1__missing")] == 0.0
     for k in range(2, BP_LAG_DEPTH + 1):
@@ -261,7 +277,7 @@ def test_lr_lag1_equals_last_record_columns(make_timeline):
     # record's own scaled reading
     samples = _samples(make_timeline, n_visits=5)
     schema = fit_schema(samples)
-    vec = build_lr_input(samples[-1], schema)
+    vec = _lr_input_of(samples[-1], schema)
     cols = schema.lr_columns
     assert vec[cols.index("systolic_lag1")] == vec[cols.index("systolic")]
     assert vec[cols.index("diastolic_lag1")] == vec[cols.index("diastolic")]
@@ -279,6 +295,93 @@ def test_featurize_shapes_and_labels(make_timeline):
     assert X_seq.shape == (4, SEQUENCE_LENGTH, schema.width)
     assert X_lr.shape == (4, schema.lr_width)
     assert y_seq.tolist() == y_lr.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+def _reference_sequence(sample, schema):
+    # The per-sample window loop: each visit featurized inside its window.
+    history = sample.history
+    take = min(SEQUENCE_LENGTH, len(history))
+    out = np.zeros((SEQUENCE_LENGTH, schema.width))
+    for pos in range(take):
+        idx = len(history) - take + pos
+        prev_date = history[idx - 1].date if idx > 0 else None
+        out[SEQUENCE_LENGTH - take + pos] = transform_record(history[idx], prev_date, schema)
+    return out
+
+
+def _reference_lr_input(sample, schema):
+    # The per-sample lag loop: BP readings re-read and re-scaled per lag.
+    def scaled(raw, stats):
+        filled, indicator = impute(raw, stats)
+        return [scale_minmax(filled, stats), indicator]
+
+    def reading(enc, base):
+        if base == "bp_status":
+            status = label_bp_status(enc.systolic, enc.diastolic)
+            return None if status is None else float(status)
+        return getattr(enc, base)
+
+    history = sample.history
+    last = history[-1]
+    prev_date = history[-2].date if len(history) > 1 else None
+    values = list(transform_record(last, prev_date, schema))
+    for k in range(1, BP_LAG_DEPTH + 1):
+        enc = history[-k] if k <= len(history) else None
+        for base in ("systolic", "diastolic", "bp_status"):
+            if schema.numeric[base].retained:
+                raw = None if enc is None else reading(enc, base)
+                values += scaled(raw, schema.numeric[base])
+    if schema.numeric["bp_fraction"].retained:
+        bp_fraction = compute_bp_fraction(last.systolic, last.diastolic)
+        values += scaled(bp_fraction, schema.numeric["bp_fraction"])
+    horizon = float((sample.target_date - last.date).days)
+    values.append(scale_minmax(horizon, schema.numeric["time_between_visits"]))
+    return np.array(values)
+
+
+@pytest.fixture(scope="module")
+def synthetic_cohort():
+    tables = generate_cohort(GeneratorConfig(n_patients=80, seed=5, miss_bp=0.2, visits_max=12))
+    timelines, _ = merge_patient_timeline(
+        tables.encounters, tables.medications, tables.labs, tables.diagnoses
+    )
+    cohort = select_cohort(timelines, seed=0)
+    return cohort, fit_schema(cohort.samples_in("train"))
+
+
+@pytest.mark.parametrize("which", ["shuffled", "test_finals"])
+def test_featurize_equals_per_sample_reference(synthetic_cohort, which):
+    cohort, schema = synthetic_cohort
+    if which == "shuffled":
+        samples = list(cohort.samples)
+        np.random.default_rng(0).shuffle(samples)
+    else:
+        samples = cohort.evaluation_samples("test")
+    depths = {len(s.history) for s in samples}
+    assert len({s.patient for s in samples}) > 1
+    assert min(depths) < SEQUENCE_LENGTH and max(depths) > BP_LAG_DEPTH
+    X_seq, y_seq = featurize_sequences(samples, schema)
+    X_lr, y_lr = featurize_lr(samples, schema)
+    np.testing.assert_array_equal(X_seq, [_reference_sequence(s, schema) for s in samples])
+    np.testing.assert_array_equal(X_lr, [_reference_lr_input(s, schema) for s in samples])
+    assert y_seq.tolist() == y_lr.tolist() == [float(s.label) for s in samples]
+
+
+def test_each_distinct_encounter_is_featurized_once(synthetic_cohort, monkeypatch):
+    cohort, schema = synthetic_cohort
+    calls = []
+    original = featurize.transform_record
+
+    def counted(enc, prev_date, schema):
+        calls.append((enc.patient, enc.date))
+        return original(enc, prev_date, schema)
+
+    monkeypatch.setattr(featurize, "transform_record", counted)
+    for build in (featurize_sequences, featurize_lr):
+        calls.clear()
+        build(cohort.samples, schema)
+        distinct = {(e.patient, e.date) for s in cohort.samples for e in s.history}
+        assert sorted(calls) == sorted(distinct)
 
 
 # -- schema artifact -------------------------------------------------------------

@@ -19,7 +19,6 @@ from htnrisk.nnet import (
     init_lr_params,
     init_lstm_params,
     lr_forward,
-    lr_input_gradients,
     lr_logits,
     lr_loss_and_grads,
     lstm_forward,
@@ -126,20 +125,6 @@ def test_lr_l1_subgradient_is_exact_and_skips_bias(rng):
     assert loss1 - loss0 == pytest.approx(lam * np.abs(params.w).sum(), rel=1e-12)
     np.testing.assert_allclose(g1.w - g0.w, lam * np.sign(params.w), atol=1e-15)
     assert g1.b == g0.b  # bias never penalized
-
-
-def test_lr_input_gradients_match_finite_differences(rng):
-    F = 4
-    params = LrParams(w=rng.normal(size=F), b=-0.2)
-    X = rng.normal(size=(3, F))
-    p, dX = lr_input_gradients(params, X)
-    eps = 1e-6
-    for i in range(3):
-        for j in range(F):
-            hi = X.copy(); hi[i, j] += eps
-            lo = X.copy(); lo[i, j] -= eps
-            numeric = (lr_forward(params, hi)[i] - lr_forward(params, lo)[i]) / (2 * eps)
-            assert abs(numeric - dX[i, j]) < 1e-9
 
 
 def test_lr_init_is_zero():

@@ -11,7 +11,6 @@ from htnrisk.synth import (
     GeneratorConfig,
     generate_cohort,
     generator_config_from_file,
-    population_summary,
     write_cohort,
 )
 
@@ -151,11 +150,6 @@ def test_population_systolic_mean_tracks_config():
     tables = generate_cohort(config)
     values = [enc.systolic for enc in tables.encounters if enc.systolic is not None]
     assert abs(float(np.mean(values)) - config.systolic_mean) <= 2.0
-
-    summary = population_summary(tables)
-    assert summary["systolic"]["count"] == len(values)
-    assert summary["systolic"]["mean"] == pytest.approx(float(np.mean(values)), abs=1e-9)
-    assert summary["systolic"]["missing"] == 0.0
 
 
 def test_treatment_lowers_next_visit_systolic():

@@ -414,6 +414,7 @@ def test_model_save_load_round_trip(tmp_path, rng, make_timeline):
 
     schema = _tiny_schema(make_timeline)
     X, y = _separable(rng, n=60, flip=0.1)
+    X = np.pad(X, ((0, 0), (0, schema.lr_width - X.shape[1])))  # loading checks the width
     config = TrainConfig(model_kind="lr", max_epochs=3, early_stop_delta=-1e18, seed=4)
     params, log = train_model(config, (X, y), (X, y))
     path = tmp_path / "model.json"
@@ -427,7 +428,7 @@ def test_model_save_load_round_trip(tmp_path, rng, make_timeline):
 
 def test_lstm_model_round_trip_preserves_predictions(tmp_path, rng, make_timeline):
     schema = _tiny_schema(make_timeline)
-    X, y = _sequence_toy(rng, n=60, F=3)
+    X, y = _sequence_toy(rng, n=60, F=schema.width)  # loading checks the width
     config = TrainConfig(
         model_kind="lstm", hidden_size=5, max_epochs=2, dropout_rate=0.0,
         early_stop_delta=-1e18, optimizer="rmsprop", seed=5,
