@@ -9,6 +9,7 @@ error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from .artifacts import read_json, write_json, write_manifest
 from .cohort import (
     DEFAULT_SPLIT_FRACTIONS,
     HORIZON_DAYS,
+    SPLIT_NAMES,
     cohort_from_dict,
     cohort_to_dict,
     select_cohort,
@@ -51,8 +53,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_cohort(path):
-    return cohort_from_dict(read_json(path))
+def _load_cohort(path, *splits):
+    return cohort_from_dict(read_json(path), splits)
 
 
 # -- generate -------------------------------------------------------------------
@@ -148,14 +150,13 @@ def cmd_cohort(args) -> int:
 
 def cmd_featurize(args) -> int:
     from .featurize import (
-        export_lr_csv,
-        export_sequence_csv,
+        export_csv,
         fit_schema,
         schema_hash,
         schema_to_dict,
     )
 
-    cohort = _load_cohort(args.samples)
+    cohort = _load_cohort(args.samples, *(SPLIT_NAMES if args.export_csv else ("train",)))
     train_samples = cohort.samples_in("train")
     schema = fit_schema(train_samples)
     out = _out_dir(args)
@@ -165,8 +166,7 @@ def cmd_featurize(args) -> int:
     if args.export_csv:
         seq_path = out / "sequence_features.csv"
         lr_path = out / "lr_features.csv"
-        export_sequence_csv(cohort.samples, schema, seq_path)
-        export_lr_csv(cohort.samples, schema, lr_path)
+        export_csv(cohort.samples, schema, seq_path, lr_path)
         outputs["sequence_features"] = seq_path
         outputs["lr_features"] = lr_path
     write_manifest(
@@ -214,7 +214,7 @@ def cmd_train(args) -> int:
         train_model,
     )
 
-    cohort = _load_cohort(args.samples)
+    cohort = _load_cohort(args.samples, "train", "validation")
     schema = schema_from_dict(read_json(args.schema))
     overrides = {"model_kind": args.model}
     if args.seed is not None:
@@ -280,7 +280,7 @@ def cmd_evaluate(args) -> int:
     from .train import load_model, predict_proba
 
     kind, params, schema, _training = load_model(args.model)
-    cohort = _load_cohort(args.samples)
+    cohort = _load_cohort(args.samples, args.split)
     samples = cohort.evaluation_samples(args.split)
     if not samples:
         raise DataError(f"no evaluation samples in split {args.split!r}")
@@ -356,7 +356,7 @@ def cmd_attribute(args) -> int:
     else:
         if not args.samples:
             raise ValueError("--samples is required for lstm models")
-        cohort = _load_cohort(args.samples)
+        cohort = _load_cohort(args.samples, args.split)
         samples = cohort.evaluation_samples(args.split)
         if not samples:
             raise DataError(f"no evaluation samples in split {args.split!r}")
@@ -459,6 +459,13 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     stage = args.command
+    # A stage builds hundreds of thousands of small objects (parsed rows,
+    # timelines, the samples.json tree) and no reference cycles, so
+    # reference counting frees everything and the cyclic collector would
+    # only walk them again and again, finding nothing. It is paused for the
+    # stage; the caller's setting is restored afterwards.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except DataError as err:
@@ -473,6 +480,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {stage}: {err}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

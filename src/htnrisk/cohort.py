@@ -315,11 +315,13 @@ def cohort_to_dict(cohort: Cohort) -> dict:
     }
 
 
-def cohort_from_dict(data: dict) -> Cohort:
-    """Inverse of cohort_to_dict.
+def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohort:
+    """Inverse of cohort_to_dict, decoding only the patients of `splits`.
 
-    A missing top-level key, a sample of an unknown patient, a target index
-    outside its patient's timeline (or at 0, which leaves no history), and an
+    The returned cohort holds those patients' timelines, split assignments
+    and samples. Every row of the file is still checked: a missing
+    top-level key, a sample of an unknown patient, a target index outside
+    its patient's timeline (or at 0, which leaves no history), and an
     unknown split name are each a DataError.
     """
     fmt = data.get("format") if isinstance(data, dict) else None
@@ -328,27 +330,34 @@ def cohort_from_dict(data: dict) -> Cohort:
     for key in ("horizon_days", "total_patients", "exclusion_tally", "patients", "samples"):
         if key not in data:
             raise DataError(f"samples file lacks {key}")
+    lengths = {}
     timelines = {}
-    splits = {}
+    kept_splits = {}
     for patient, entry in data["patients"].items():
-        if entry["split"] not in SPLIT_NAMES:
-            raise DataError(f"patient {patient}: unknown split {entry['split']!r}")
-        timelines[patient] = [encounter_from_dict(e) for e in entry["encounters"]]
-        splits[patient] = entry["split"]
+        split = entry["split"]
+        if split not in SPLIT_NAMES:
+            raise DataError(f"patient {patient}: unknown split {split!r}")
+        lengths[patient] = len(entry["encounters"])
+        if split in splits:
+            timelines[patient] = [encounter_from_dict(e) for e in entry["encounters"]]
+            kept_splits[patient] = split
     samples = []
     for row in data["samples"]:
-        if row["patient"] not in timelines:
-            raise DataError(f"sample of unknown patient {row['patient']!r}")
-        timeline = timelines[row["patient"]]
+        patient = row["patient"]
+        if patient not in lengths:
+            raise DataError(f"sample of unknown patient {patient!r}")
         idx = row["target_index"]
-        if type(idx) is not int or not 1 <= idx < len(timeline):
+        if type(idx) is not int or not 1 <= idx < lengths[patient]:
             raise DataError(
-                f"patient {row['patient']}: target_index {idx!r} outside 1..{len(timeline) - 1}"
+                f"patient {patient}: target_index {idx!r} outside 1..{lengths[patient] - 1}"
             )
+        timeline = timelines.get(patient)
+        if timeline is None:
+            continue
         target = timeline[idx]
         samples.append(
             CohortSample(
-                patient=row["patient"],
+                patient=patient,
                 history=timeline[:idx],
                 target_date=target.date,
                 label=BpStatus(row["label"]),
@@ -360,7 +369,7 @@ def cohort_from_dict(data: dict) -> Cohort:
     return Cohort(
         timelines=timelines,
         samples=samples,
-        splits=splits,
+        splits=kept_splits,
         exclusion_tally=dict(data["exclusion_tally"]),
         total_patients=data["total_patients"],
         horizon_days=data["horizon_days"],

@@ -329,12 +329,17 @@ def featurize_sequences(
 
     Each input is the last six visits, left-padded with zero rows.
     """
-    rows, last = _visit_rows(samples, schema)
+    X = _sequences(samples, schema, _visit_rows(samples, schema))
+    return X, np.array([float(s.label) for s in samples])
+
+
+def _sequences(samples, schema, visits) -> np.ndarray:
+    rows, last = visits
     X = np.zeros((len(samples), SEQUENCE_LENGTH, schema.width))
     for i, sample in enumerate(samples):
         take = min(SEQUENCE_LENGTH, len(sample.history))
         X[i, SEQUENCE_LENGTH - take :] = rows[last[i] - take + 1 : last[i] + 1]
-    return X, np.array([float(s.label) for s in samples])
+    return X
 
 
 def featurize_lr(
@@ -347,7 +352,12 @@ def featurize_lr(
     like a missing reading, holds the imputed train mean, flagged. The
     trailing column is the scaled gap between the last visit and the target.
     """
-    rows, last = _visit_rows(samples, schema)
+    X = _flat(samples, schema, _visit_rows(samples, schema))
+    return X, np.array([float(s.label) for s in samples])
+
+
+def _flat(samples, schema, visits) -> np.ndarray:
+    rows, last = visits
     depth = np.array([len(s.history) for s in samples])
     X = np.empty((len(samples), schema.lr_width))
     X[:, : schema.width] = rows[last]
@@ -360,7 +370,7 @@ def featurize_lr(
         scale_minmax(float((s.target_date - s.history[-1].date).days), horizon)
         for s in samples
     ]
-    return X, np.array([float(s.label) for s in samples])
+    return X
 
 
 # -- schema artifact ----------------------------------------------------------
@@ -434,24 +444,28 @@ def schema_hash(schema: FeatureSchema) -> str:
 
 # -- feature matrix export ----------------------------------------------------
 
-def export_sequence_csv(samples, schema, path) -> None:
-    """One row per (sample, timestep), canonical header."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["sample", "timestep"] + schema.columns)
-        X, _ = featurize_sequences(samples, schema)
-        for sample, seq in zip(samples, X):
-            name = f"{sample.patient}:{sample.target_index}"
-            for t in range(SEQUENCE_LENGTH):
-                writer.writerow([name, t] + [format_number(v) for v in seq[t]])
+def export_csv(samples, schema, sequence_path, lr_path) -> None:
+    """Write both feature matrices, canonical headers, featurizing each
+    visit once: the sequence inputs one row per (sample, timestep), the
+    flat inputs one row per sample."""
+    visits = _visit_rows(samples, schema)
+    names = [f"{s.patient}:{s.target_index}" for s in samples]
+    _write_csv(
+        sequence_path,
+        ["sample", "timestep"] + schema.columns,
+        ([name, t] for name in names for t in range(SEQUENCE_LENGTH)),
+        _sequences(samples, schema, visits).reshape(-1, schema.width),
+    )
+    _write_csv(
+        lr_path, ["sample"] + schema.lr_columns, ([name] for name in names),
+        _flat(samples, schema, visits),
+    )
 
 
-def export_lr_csv(samples, schema, path) -> None:
-    """One row per sample, canonical header."""
+def _write_csv(path, header: list[str], keys, X: np.ndarray) -> None:
+    """One row per key: the key's cells, then that row of X."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["sample"] + schema.lr_columns)
-        X, _ = featurize_lr(samples, schema)
-        for sample, vec in zip(samples, X):
-            name = f"{sample.patient}:{sample.target_index}"
-            writer.writerow([name] + [format_number(v) for v in vec])
+        writer.writerow(header)
+        for key, x in zip(keys, X):
+            writer.writerow(key + [format_number(v) for v in x])

@@ -1,19 +1,20 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, reruns."""
 
+import gc
+
 import pytest
 
+import htnrisk.cli as cli
 from htnrisk.artifacts import read_json, sha256_file, write_json
-from htnrisk.cli import main
+from htnrisk.cli import build_parser, main
 from htnrisk.cohort import cohort_from_dict
 
 # Small LSTM so the pipeline fixture stays fast.
 LSTM_KV = "hidden_size=8\nlearning_rate=0.05\nmax_epochs=2\n"
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One full six-stage run shared by the read-only assertions below."""
-    root = tmp_path_factory.mktemp("pipeline")
+def _pipeline_stages(root):
+    """The paths and argv lists of one full six-stage run under `root`."""
     paths = {name: root / name for name in (
         "data", "cohort", "features", "lr", "lstm", "evaluate", "attr_lr", "attr_lstm",
     )}
@@ -37,6 +38,13 @@ def pipeline(tmp_path_factory):
         ["attribute", "--model", str(paths["lstm"] / "model.json"), "--samples", samples,
          "--steps", "16", "--top", "5", "--out", str(paths["attr_lstm"])],
     ]
+    return paths, stages
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """One full six-stage run shared by the read-only assertions below."""
+    paths, stages = _pipeline_stages(tmp_path_factory.mktemp("pipeline"))
     for argv in stages:
         assert main(argv) == 0, f"stage {argv[0]} failed"
     return paths
@@ -187,6 +195,63 @@ def test_different_seed_changes_the_model(pipeline, tmp_path):
     assert (out / "model.json").read_bytes() != (
         pipeline["lr"] / "model.json"
     ).read_bytes()
+
+
+# -- cyclic garbage collector ---------------------------------------------------
+
+
+def _with_collector_disabled(run):
+    """Call `run` with the cyclic collector disabled and drop its result.
+    Returns whether the collector was still disabled afterwards and how
+    many unreachable objects a collection then found."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return not gc.isenabled(), gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_stages_leave_no_cyclic_garbage_beyond_the_parser(pipeline, tmp_path, capsys):
+    # main pauses the collector for each stage, which is safe only while
+    # stages build no reference cycles; argparse's parser is the one
+    # cyclic structure main makes. The fixture has run every lazy import.
+    _, parser_only = _with_collector_disabled(build_parser)
+    assert parser_only > 0
+    paths, stages = _pipeline_stages(tmp_path)
+    lr_model = str(paths["lr"] / "model.json")
+    failing = [
+        (["attribute", "--model", lr_model, "--top", "0", "--out", str(tmp_path / "x")], 1),
+        (["featurize", "--samples", str(tmp_path / "missing.json"),
+          "--out", str(tmp_path / "x")], 2),
+    ]
+    for argv, code in [(argv, 0) for argv in stages] + failing:
+        codes = []
+        still_disabled, found = _with_collector_disabled(lambda: codes.append(main(argv)))
+        assert codes == [code], argv[0]
+        assert still_disabled, f"{argv[0]} re-enabled a collector its caller disabled"
+        assert found <= parser_only, f"{argv[0]} left {found} cyclic objects"
+
+
+def _raise_key_error(args):
+    raise KeyError("not caught by main")
+
+
+def test_main_leaves_an_enabled_collector_enabled(pipeline, tmp_path, monkeypatch, capsys):
+    lr_model = str(pipeline["lr"] / "model.json")
+    out = str(tmp_path / "out")
+    for argv, code in (
+        (["attribute", "--model", lr_model, "--out", out], 0),
+        (["attribute", "--model", lr_model, "--top", "0", "--out", out], 1),
+        (["featurize", "--samples", str(tmp_path / "missing.json"), "--out", out], 2),
+    ):
+        assert main(argv) == code
+        assert gc.isenabled(), f"exit {code}"
+    monkeypatch.setattr(cli, "cmd_attribute", _raise_key_error)
+    with pytest.raises(KeyError):
+        main(["attribute", "--model", lr_model, "--out", out])
+    assert gc.isenabled()
 
 
 # -- exit codes and error reporting -------------------------------------------

@@ -10,6 +10,7 @@ from htnrisk.cohort import (
     Cohort,
     DEFAULT_SPLIT_FRACTIONS,
     EXCLUSION_RULES,
+    SPLIT_NAMES,
     apply_cohort_exclusions,
     build_samples,
     cohort_from_dict,
@@ -303,6 +304,28 @@ def test_cohort_round_trip():
         assert a.history[-1].med_categories == b.history[-1].med_categories
     # round trip preserves the serialized form exactly
     assert cohort_to_dict(restored) == cohort_to_dict(cohort)
+
+
+def test_cohort_from_dict_decodes_only_the_named_splits():
+    cohort, _, _ = _load_fixture_cohort()
+    data = cohort_to_dict(cohort)
+    for entry, split in zip(data["patients"].values(), SPLIT_NAMES):
+        entry["split"] = split  # one patient in each split
+    full = cohort_from_dict(data)
+    for kept in [("train",), ("validation", "test"), ()]:
+        part = cohort_from_dict(data, kept)
+        members = {p for p, split in full.splits.items() if split in kept}
+        assert set(part.timelines) == members
+        assert part.splits == {p: full.splits[p] for p in members}
+        assert [(s.patient, s.target_index) for s in part.samples] == [
+            (s.patient, s.target_index) for s in full.samples if s.patient in members
+        ]
+    # rows of patients left undecoded are still checked
+    outside = full.samples[0].patient
+    rest = tuple(name for name in SPLIT_NAMES if name != full.splits[outside])
+    data["samples"][0]["target_index"] = len(full.timelines[outside])
+    with pytest.raises(DataError, match="target_index"):
+        cohort_from_dict(data, rest)
 
 
 def test_exclusion_rules_tuple_is_the_cascade_order():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htnrisk.cohort import BpStatus, build_samples
 from htnrisk.ehr_core import DataError
@@ -159,6 +161,20 @@ def test_auroc_equals_mann_whitney_on_random_instances(rng):
         assert auroc(labels, scores) == pytest.approx(
             _mann_whitney(labels, scores), abs=1e-12
         ), f"trial {trial}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        # a five-value score alphabet forces ties within and across classes
+        st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+        min_size=2,
+        max_size=40,
+    ).filter(lambda pairs: len({label for label, _ in pairs}) == 2)
+)
+def test_auroc_equals_mann_whitney_under_ties_property(pairs):
+    labels, scores = (np.array(column) for column in zip(*pairs))
+    assert auroc(labels, scores) == pytest.approx(_mann_whitney(labels, scores), abs=1e-12)
 
 
 def test_auroc_is_rank_invariant(rng):

@@ -367,7 +367,7 @@ def test_featurize_equals_per_sample_reference(synthetic_cohort, which):
     assert y_seq.tolist() == y_lr.tolist() == [float(s.label) for s in samples]
 
 
-def test_each_distinct_encounter_is_featurized_once(synthetic_cohort, monkeypatch):
+def test_each_distinct_encounter_is_featurized_once(synthetic_cohort, monkeypatch, tmp_path):
     cohort, schema = synthetic_cohort
     calls = []
     original = featurize.transform_record
@@ -376,8 +376,11 @@ def test_each_distinct_encounter_is_featurized_once(synthetic_cohort, monkeypatc
         calls.append((enc.patient, enc.date))
         return original(enc, prev_date, schema)
 
+    def export(samples, schema):
+        featurize.export_csv(samples, schema, tmp_path / "seq.csv", tmp_path / "lr.csv")
+
     monkeypatch.setattr(featurize, "transform_record", counted)
-    for build in (featurize_sequences, featurize_lr):
+    for build in (featurize_sequences, featurize_lr, export):
         calls.clear()
         build(cohort.samples, schema)
         distinct = {(e.patient, e.date) for s in cohort.samples for e in s.history}
