@@ -60,7 +60,7 @@ def _load_cohort(path, *splits):
 # -- generate -------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    from .synth import GeneratorConfig, generate_cohort, generator_config_from_file, write_cohort
+    from .synth import GeneratorConfig, generator_config_from_file, write_cohort
 
     overrides = {}
     if args.seed is not None:
@@ -74,8 +74,7 @@ def cmd_generate(args) -> int:
     if config.n_patients <= 0:
         raise DataError("empty cohort: n_patients must be positive")
     out = _out_dir(args)
-    tables = generate_cohort(config)
-    paths = write_cohort(tables, out)
+    paths, n_encounters = write_cohort(config, out)
     write_manifest(
         out,
         "generate",
@@ -84,7 +83,7 @@ def cmd_generate(args) -> int:
         config=asdict(config),
         seed=config.seed,
     )
-    print(f"generate: wrote {len(tables.encounters)} encounters for {config.n_patients} patients to {out}")
+    print(f"generate: wrote {n_encounters} encounters for {config.n_patients} patients to {out}")
     return EXIT_OK
 
 

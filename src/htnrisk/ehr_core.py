@@ -10,6 +10,8 @@ stream as per-date binary indicators.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -204,9 +206,12 @@ def _parse_date(cell: str) -> date:
 
 def _parse_float(cell: str, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ValueError(f"unparseable numeric {cell!r} in column {column}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite numeric {cell!r} in column {column}")
+    return value
 
 
 _SEX_CODES = {"M": "male", "F": "female"}
@@ -301,9 +306,11 @@ _ROW_PARSERS = {
 def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
     """Parse one CSV table into typed events plus a row-level error report.
 
-    A missing header column is fatal (DataError); anything wrong with an
-    individual row lands in the error list with its 1-based line number.
-    Extra or reordered columns are tolerated.
+    A missing header column or text that is not UTF-8 is fatal
+    (DataError); anything wrong with an individual row, including a cell
+    count other than the header's, lands in the error list with its
+    1-based line number. Extra or reordered columns are tolerated, and
+    blank lines are skipped.
     """
     if kind not in TABLE_COLUMNS:
         raise DataError(f"unknown table kind {kind!r}")
@@ -314,21 +321,34 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
     errors: list[RowError] = []
     parser = _ROW_PARSERS[kind]
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in TABLE_COLUMNS[kind] if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        for lineno, row in enumerate(reader, 2):
-            try:
-                events.append(parser(row))
-            except ValueError as exc:
-                errors.append(RowError(row=lineno, table=kind, message=str(exc)))
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            missing = [c for c in TABLE_COLUMNS[kind] if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+            width = len(header)
+            lineno = 1
+            for cells in reader:
+                if not cells:
+                    continue
+                lineno += 1
+                if len(cells) != width:
+                    message = f"expected {width} cells, got {len(cells)}"
+                    errors.append(RowError(row=lineno, table=kind, message=message))
+                    continue
+                try:
+                    events.append(parser(dict(zip(header, cells))))
+                except ValueError as exc:
+                    errors.append(RowError(row=lineno, table=kind, message=str(exc)))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return events, errors
 
 
-def serialize_table(events: Iterable, kind: str, path: str | Path) -> None:
-    """Write events back out in the canonical column order, LF-terminated."""
+def format_rows(events: Iterable, kind: str) -> str:
+    """The CSV text of `events` in the canonical column order of `kind`,
+    LF-terminated, without the header."""
     from .artifacts import format_number
 
     def cell(value) -> str:
@@ -338,31 +358,41 @@ def serialize_table(events: Iterable, kind: str, path: str | Path) -> None:
             return format_number(value)
         return str(value)
 
-    rows: list[list[str]] = []
     if kind == "encounters":
-        for e in events:
-            rows.append(
-                [e.patient, e.date.isoformat(), cell(e.systolic), cell(e.diastolic)]
-                + [cell(e.vitals.get(name)) for name in VITAL_NAMES]
-                + ["M" if e.sex == "male" else "F", cell(float(e.age))]
-                + [e.demographics.get(name, "") for name in DEMOGRAPHIC_NAMES]
-                + [e.diagnosis_code or "", "1" if e.deceased else "0"]
-            )
+        rows = (
+            [e.patient, e.date.isoformat(), cell(e.systolic), cell(e.diastolic)]
+            + [cell(e.vitals.get(name)) for name in VITAL_NAMES]
+            + ["M" if e.sex == "male" else "F", cell(float(e.age))]
+            + [e.demographics.get(name, "") for name in DEMOGRAPHIC_NAMES]
+            + [e.diagnosis_code or "", "1" if e.deceased else "0"]
+            for e in events
+        )
     elif kind == "medications":
-        rows = [[e.patient, e.date.isoformat(), e.drug_name] for e in events]
+        rows = ([e.patient, e.date.isoformat(), e.drug_name] for e in events)
     elif kind == "labs":
-        rows = [[e.patient, e.date.isoformat(), e.panel_name] for e in events]
+        rows = ([e.patient, e.date.isoformat(), e.panel_name] for e in events)
     elif kind == "diagnoses":
-        rows = [
+        rows = (
             [e.patient, e.date.isoformat(), e.code, "1" if e.is_principal else "0"]
             for e in events
-        ]
+        )
     else:
         raise DataError(f"unknown table kind {kind!r}")
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def write_table(path: str | Path, kind: str, bodies: Iterable[str]) -> None:
+    """Write the header of `kind`, then each `format_rows` text in order."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS[kind])
-        writer.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerow(TABLE_COLUMNS[kind])
+        handle.writelines(bodies)
+
+
+def serialize_table(events: Iterable, kind: str, path: str | Path) -> None:
+    """Write events back out in the canonical column order, LF-terminated."""
+    write_table(path, kind, [format_rows(events, kind)])
 
 
 def write_error_report(errors: Iterable[RowError], path: str | Path) -> None:

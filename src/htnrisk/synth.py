@@ -16,12 +16,15 @@ patient's BP mode, so nothing beyond the last reading predicts the next
 status (the negative control).
 
 Every patient draws from an independent seeded substream, so generation
-is order-independent and reproducible file-for-file.
+is order-independent and reproducible file-for-file. `write_cohort` uses
+that to generate contiguous blocks of patients on all usable cores.
 """
 
 from __future__ import annotations
 
+import os
 import typing
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -30,12 +33,14 @@ import numpy as np
 
 from .artifacts import derive_seed, read_kv_config
 from .ehr_core import (
+    TABLE_COLUMNS,
     DiagnosisEvent,
     EncounterRecord,
     LabOrderEvent,
     MedicationEvent,
     VITAL_NAMES,
-    serialize_table,
+    format_rows,
+    write_table,
 )
 
 #: Lab panels with per-visit order probabilities; the first clears the
@@ -71,6 +76,10 @@ RACES = (("white", 0.60), ("black", 0.15), ("asian", 0.10), ("hispanic", 0.10), 
 MARITAL = (("married", 0.50), ("single", 0.25), ("divorced", 0.15), ("widowed", 0.10))
 LANGUAGES = (("english", 0.80), ("spanish", 0.12), ("other", 0.08))
 SMOKING = (("never", 0.50), ("former", 0.30), ("current", 0.20))
+
+#: Fewest patients worth a process of their own: a block this size takes
+#: ~0.25 s to generate, against a few milliseconds to fork and return it.
+MIN_BLOCK_PATIENTS = 500
 
 
 @dataclass
@@ -147,10 +156,24 @@ class Tables:
     diagnoses: list[DiagnosisEvent]
 
 
-def _choice(rng: np.random.Generator, weighted: tuple) -> str:
-    names = [name for name, _ in weighted]
+def _cdf(weighted: tuple) -> tuple[tuple[str, ...], list[float]]:
+    """The names of `weighted` and the cumulative distribution that
+    `Generator.choice(n, p=...)` builds from its normalized weights."""
     probs = np.array([p for _, p in weighted])
-    return names[rng.choice(len(names), p=probs / probs.sum())]
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return tuple(name for name, _ in weighted), cdf.tolist()
+
+
+_RACE_CDF, _MARITAL_CDF, _LANGUAGE_CDF, _SMOKING_CDF = (
+    _cdf(weighted) for weighted in (RACES, MARITAL, LANGUAGES, SMOKING)
+)
+
+
+def _choice(rng: np.random.Generator, table: tuple[tuple[str, ...], list[float]]) -> str:
+    # One uniform and a right bisection: the draw `Generator.choice` makes.
+    names, cdf = table
+    return names[bisect_right(cdf, rng.random())]
 
 
 def _gap_days(rng: np.random.Generator, mean: float, sd: float) -> int:
@@ -182,16 +205,16 @@ def _generate_patient(
     role = _assign_role(rng, config)
 
     sex = "female" if rng.random() < 0.57 else "male"
-    race = _choice(rng, RACES)
-    marital = _choice(rng, MARITAL)
-    language = _choice(rng, LANGUAGES)
-    smoking = _choice(rng, SMOKING)
+    race = _choice(rng, _RACE_CDF)
+    marital = _choice(rng, _MARITAL_CDF)
+    language = _choice(rng, _LANGUAGE_CDF)
+    smoking = _choice(rng, _SMOKING_CDF)
     if role == "minor":
         age0 = float(rng.integers(8, 14))
     elif role == "elderly":
         age0 = float(rng.integers(92, 101))
     else:
-        age0 = float(np.clip(round(rng.normal(62.0, 13.0)), 19, 86))
+        age0 = float(min(max(round(rng.normal(62.0, 13.0)), 19), 86))
 
     hi = rng.random() < config.hi_prob
     low_mode_sys = config.systolic_mean - config.hi_prob * config.hi_shift
@@ -205,8 +228,8 @@ def _generate_patient(
     principal = conditions[0] if conditions else WELLNESS_CODE
     primary_drug = PRIMARY_DRUGS[int(rng.integers(0, len(PRIMARY_DRUGS)))]
     has_combo = rng.random() < config.combo_prob
-    height = float(np.clip(round(rng.normal(67.0, 4.0), 1), 56.0, 80.0))
-    bmi0 = float(np.clip(rng.normal(30.2, 6.0), 17.0, 55.0))
+    height = min(max(round(rng.normal(67.0, 4.0), 1), 56.0), 80.0)
+    bmi0 = min(max(rng.normal(30.2, 6.0), 17.0), 55.0)
     bmi_drift = rng.normal(0.05, 0.15)
 
     # Visit schedule.
@@ -328,10 +351,11 @@ def _generate_patient(
     return tables
 
 
-def generate_cohort(config: GeneratorConfig) -> Tables:
-    """Generate all four event tables, deterministically under the seed."""
+def generate_cohort(config: GeneratorConfig, patients: range | None = None) -> Tables:
+    """Generate all four event tables of `patients` (default: every
+    patient), deterministically under the seed."""
     tables = Tables([], [], [], [])
-    for i in range(config.n_patients):
+    for i in range(config.n_patients) if patients is None else patients:
         pid = f"P{i:05d}"
         rng = np.random.default_rng(derive_seed(config.seed, f"patient:{i}"))
         patient = _generate_patient(pid, rng, config)
@@ -342,19 +366,111 @@ def generate_cohort(config: GeneratorConfig) -> Tables:
     return tables
 
 
-def write_cohort(tables: Tables, out_dir) -> list[Path]:
-    """Write the four CSVs in the canonical schemas; returns their paths."""
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blocks(n_patients: int) -> list[range]:
+    """Contiguous patient blocks, one per usable core, none smaller than
+    MIN_BLOCK_PATIENTS; one block where processes cannot be forked."""
+    count = min(_usable_cores(), n_patients // MIN_BLOCK_PATIENTS)
+    if count > 1:
+        import multiprocessing  # only here: small cohorts never pay the import
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            count = 1
+    count = max(count, 1)
+    return [range(n_patients * j // count, n_patients * (j + 1) // count) for j in range(count)]
+
+
+def _format_block(config: GeneratorConfig, patients: range) -> tuple[list[str], int]:
+    """The CSV bodies of `patients`, one per table, and their encounter count."""
+    tables = generate_cohort(config, patients)
+    bodies = [format_rows(getattr(tables, kind), kind) for kind in TABLE_COLUMNS]
+    return bodies, len(tables.encounters)
+
+
+def _send_block(sender, config: GeneratorConfig, patients: range) -> None:
+    """Body of a forked child: send (True, result) or (False, exception)."""
+    try:
+        result = _format_block(config, patients)
+    except Exception as exc:
+        sender.send((False, exc))
+    else:
+        sender.send((True, result))
+    sender.close()
+
+
+def _receive_block(child, receiver, patients: range) -> tuple[list[str], int]:
+    try:
+        ok, payload = receiver.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(
+            f"the process generating patients {patients.start}-{patients.stop - 1} "
+            f"exited with code {child.exitcode} before sending them"
+        ) from None
+    if not ok:
+        raise payload
+    return payload
+
+
+def _run_blocks(config: GeneratorConfig, blocks: list[range]) -> list[tuple[list[str], int]]:
+    """`_format_block` of every block, in block order: the first in this
+    process, each other one in a forked child that sends its result back
+    through a pipe, read here in the main thread."""
+    if len(blocks) == 1:
+        return [_format_block(config, blocks[0])]
+    import multiprocessing
+
+    # fork, not spawn: a child starts with the program already imported.
+    # It only draws random numbers and formats text, so it takes none of
+    # the locks that other threads (BLAS) might hold at the fork.
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for patients in blocks[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_send_block, args=(sender, config, patients), daemon=True
+            )
+            children.append((child, receiver))
+            child.start()
+            sender.close()
+        results = [_format_block(config, blocks[0])]
+        for (child, receiver), patients in zip(children, blocks[1:]):
+            results.append(_receive_block(child, receiver, patients))
+        return results
+    except BaseException:
+        # A child may be blocked sending to a parent that no longer reads.
+        for child, _ in children:
+            if child.pid is not None:
+                child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.pid is not None:
+                child.join()
+
+
+def write_cohort(config: GeneratorConfig, out_dir) -> tuple[list[Path], int]:
+    """Generate the cohort and write the four CSVs in the canonical
+    schemas; returns their paths and the number of encounters.
+
+    Each file is the header followed by the blocks' bodies in block
+    order. Patients are numbered in file order and each draws from its
+    own substream, so the bytes do not depend on the number of blocks.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results = _run_blocks(config, _blocks(config.n_patients))
     written = []
-    for kind, events in (
-        ("encounters", tables.encounters),
-        ("medications", tables.medications),
-        ("labs", tables.labs),
-        ("diagnoses", tables.diagnoses),
-    ):
+    for index, kind in enumerate(TABLE_COLUMNS):
         path = out_dir / f"{kind}.csv"
-        serialize_table(events, kind, path)
+        write_table(path, kind, (bodies[index] for bodies, _ in results))
         written.append(path)
-    return written
-
+    return written, sum(count for _, count in results)

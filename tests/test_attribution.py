@@ -1,7 +1,11 @@
 """Integrated gradients: axioms, quadrature nodes, and rankings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htnrisk.attribution import (
     aggregate_sequence_attributions,
@@ -109,6 +113,37 @@ def test_ig_completeness_on_the_recurrent_model(rng):
         values, _ = scorer(np.stack([x, baseline]))
         scale = abs(float(values[0] - values[1]))
         assert gap <= 1e-3 * max(scale, 1e-12), f"seed {seed}: gap {gap} vs scale {scale}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_features=st.integers(1, 4),
+    hidden=st.integers(1, 5),
+    n_steps=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    weight_scale=st.sampled_from([1.0, 3.0]),
+    input_scale=st.sampled_from([1.0, 3.0]),
+)
+def test_ig_completeness_gap_meets_the_midpoint_rule_bound_property(
+    n_features, hidden, n_steps, seed, weight_scale, input_scale
+):
+    # With g(a) = f(a x) on the path from the zero baseline, the attributions
+    # sum to the composite midpoint rule for the integral of g' over [0, 1],
+    # which is f(x) - f(0). That rule's error with n nodes is g'''(xi) / (24 n^2)
+    # for some xi in [0, 1], so the gap is at most max|g'''| / (24 n^2), plus
+    # rounding (1e-13 here). max|g'''| comes from third differences of g with
+    # spacing 1/64: each equals g''' somewhere in its window, so their largest
+    # can fall short of the true maximum, and the bound doubles it.
+    steps = 512
+    rng = np.random.default_rng(seed)
+    params = init_lstm_params(n_features, hidden, rng)
+    params = replace(params, W=weight_scale * params.W, U=weight_scale * params.U)
+    scorer = lstm_scorer(params)
+    x = input_scale * rng.normal(size=(n_steps, n_features))
+    g, _ = scorer(np.linspace(0.0, 1.0, 65)[:, None, None] * x)
+    max_third_derivative = float(np.abs(np.diff(g, 3)).max()) * 64.0**3
+    bound = 2.0 * max_third_derivative / (24 * steps**2) + 1e-13
+    assert completeness_gap(scorer, x, np.zeros_like(x), steps) <= bound
 
 
 def test_ig_completeness_gap_shrinks_with_steps(rng):

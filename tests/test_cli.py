@@ -1,13 +1,18 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, reruns."""
 
 import gc
+import multiprocessing
+import os
+import shutil
 
 import pytest
 
 import htnrisk.cli as cli
+import htnrisk.synth as synth
 from htnrisk.artifacts import read_json, sha256_file, write_json
 from htnrisk.cli import build_parser, main
 from htnrisk.cohort import cohort_from_dict
+from htnrisk.ehr_core import DataError
 
 # Small LSTM so the pipeline fixture stays fast.
 LSTM_KV = "hidden_size=8\nlearning_rate=0.05\nmax_epochs=2\n"
@@ -213,7 +218,7 @@ def _with_collector_disabled(run):
         gc.enable()
 
 
-def test_stages_leave_no_cyclic_garbage_beyond_the_parser(pipeline, tmp_path, capsys):
+def test_stages_leave_no_cyclic_garbage_beyond_the_parser(pipeline, tmp_path, monkeypatch, capsys):
     # main pauses the collector for each stage, which is safe only while
     # stages build no reference cycles; argparse's parser is the one
     # cyclic structure main makes. The fixture has run every lazy import.
@@ -226,12 +231,18 @@ def test_stages_leave_no_cyclic_garbage_beyond_the_parser(pipeline, tmp_path, ca
         (["featurize", "--samples", str(tmp_path / "missing.json"),
           "--out", str(tmp_path / "x")], 2),
     ]
-    for argv, code in [(argv, 0) for argv in stages] + failing:
+    def check(argv, code):
         codes = []
         still_disabled, found = _with_collector_disabled(lambda: codes.append(main(argv)))
         assert codes == [code], argv[0]
         assert still_disabled, f"{argv[0]} re-enabled a collector its caller disabled"
         assert found <= parser_only, f"{argv[0]} left {found} cyclic objects"
+
+    for argv, code in [(argv, 0) for argv in stages] + failing:
+        check(argv, code)
+    # The 150 patients are one block; with two, generate forks a child.
+    _split_into_blocks(monkeypatch, cores=2)
+    check(stages[0], 0)
 
 
 def _raise_key_error(args):
@@ -252,6 +263,80 @@ def test_main_leaves_an_enabled_collector_enabled(pipeline, tmp_path, monkeypatc
     with pytest.raises(KeyError):
         main(["attribute", "--model", lr_model, "--out", out])
     assert gc.isenabled()
+
+
+# -- generation in patient blocks ------------------------------------------------
+
+
+def _split_into_blocks(monkeypatch, cores):
+    """Make generate use `cores` blocks for any cohort of at least that many patients."""
+    monkeypatch.setattr(synth, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(synth, "MIN_BLOCK_PATIENTS", 1)
+
+
+@pytest.mark.parametrize("n_patients, cores", [(7, 2), (7, 3), (2, 3)])
+def test_generated_files_do_not_depend_on_the_block_count(
+    tmp_path, monkeypatch, capsys, n_patients, cores
+):
+    block_counts = []
+    run_blocks = synth._run_blocks
+    monkeypatch.setattr(
+        synth, "_run_blocks", lambda config, blocks: block_counts.append(len(blocks))
+        or run_blocks(config, blocks)
+    )
+
+    def generate(name, cores):
+        # Each run writes to "data" in its own directory, so the manifests'
+        # paths agree too.
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        _split_into_blocks(monkeypatch, cores)
+        argv = ["generate", "--out", "data", "--seed", "4", "--patients", str(n_patients)]
+        assert main(argv) == 0
+        files = {path.name: path.read_bytes() for path in (run_dir / "data").iterdir()}
+        return files, capsys.readouterr().out
+
+    one_block = generate("one", 1)
+    assert sorted(one_block[0]) == [
+        "diagnoses.csv", "encounters.csv", "labs.csv", "manifest.json", "medications.csv",
+    ]
+    assert generate("many", cores) == one_block
+    assert block_counts == [1, min(cores, n_patients)]
+
+
+@pytest.mark.parametrize("failing", ["P00000", "P00004"])  # in block 0; in the last, forked one
+def test_a_data_error_in_any_block_is_a_data_error(tmp_path, monkeypatch, capsys, failing):
+    _split_into_blocks(monkeypatch, cores=3)
+    generate_patient = synth._generate_patient
+
+    def fail_once(pid, rng, config):
+        if pid == failing:
+            raise DataError(f"cannot generate {pid}")
+        return generate_patient(pid, rng, config)
+
+    monkeypatch.setattr(synth, "_generate_patient", fail_once)
+    assert main(["generate", "--out", str(tmp_path / "d"), "--seed", "1", "--patients", "6"]) == 2
+    assert capsys.readouterr().err == f"error: generate: cannot generate {failing}\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_block_process_that_dies_is_a_data_error(tmp_path, monkeypatch, capsys):
+    _split_into_blocks(monkeypatch, cores=3)
+    generate_patient = synth._generate_patient
+
+    def die_in_block_1(pid, rng, config):
+        if pid == "P00002":
+            os._exit(7)
+        return generate_patient(pid, rng, config)
+
+    monkeypatch.setattr(synth, "_generate_patient", die_in_block_1)
+    assert main(["generate", "--out", str(tmp_path / "d"), "--seed", "1", "--patients", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: generate: the process generating patients 2-3 exited with code 7 "
+        "before sending them\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 # -- exit codes and error reporting -------------------------------------------
@@ -283,6 +368,48 @@ def test_missing_source_table_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cohort: ")
+
+
+def _copy_of_source_tables(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    return data
+
+
+def test_undecodable_source_table_is_a_data_error(pipeline, tmp_path, capsys):
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    labs = data / "labs.csv"
+    labs.write_bytes(labs.read_bytes() + b"P00001,2013-01-01,\xff\xfe\n")
+    assert main(["cohort", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cohort: {labs}: not UTF-8 text (invalid start byte)\n"
+    )
+
+
+def test_short_rows_and_non_finite_readings_are_row_errors(pipeline, tmp_path, capsys):
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    medications = data / "medications.csv"
+    n_medications = len(_lines(medications)) - 1
+    with medications.open("a", encoding="utf-8") as handle:
+        handle.write("P00001,2013-01-01\n")
+    encounters = data / "encounters.csv"
+    header, first = _lines(encounters)[:2]
+    n_encounters = len(_lines(encounters)) - 1
+    columns = header.split(",")
+    with encounters.open("a", encoding="utf-8") as handle:
+        for column, cell in (("systolic", "nan"), ("diastolic", "inf")):
+            cells = first.split(",")
+            cells[columns.index(column)] = cell
+            handle.write(",".join(cells) + "\n")
+    out = tmp_path / "out"
+    assert main(["cohort", "--data", str(data), "--out", str(out)]) == 0
+    assert _lines(out / "row_errors.csv") == [
+        "row,table,message",
+        f"{n_encounters + 2},encounters,non-finite numeric 'nan' in column systolic",
+        f"{n_encounters + 3},encounters,non-finite numeric 'inf' in column diastolic",
+        f"{n_medications + 2},medications,\"expected 3 cells, got 2\"",
+    ]
+    assert read_json(out / "manifest.json")["config"]["row_errors"] == 3
 
 
 def test_malformed_fractions_are_a_usage_error(pipeline, tmp_path, capsys):

@@ -1,10 +1,16 @@
 """Parsing, drug categorization, and timeline merging."""
 
+import csv
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htnrisk.ehr_core import (
+    TABLE_COLUMNS,
     DataError,
     DiagnosisEvent,
     EncounterRecord,
@@ -124,6 +130,87 @@ def test_parse_collects_row_errors_with_line_numbers(tmp_path):
     assert [r.patient for r in rows] == ["p5"]
     assert [e.row for e in errors] == [2, 3, 4, 5]
     assert all(e.table == "encounters" for e in errors)
+
+
+def test_parse_rows_with_another_cell_count_are_row_errors(tmp_path):
+    path = tmp_path / "medications.csv"
+    _write(
+        path,
+        [
+            "patient_id,date,drug_name",
+            "p1,2023-01-05",                    # short
+            "p1,2023-01-05,Lisinopril,extra",   # long
+            "p1,2023-01-05,Lisinopril",
+        ],
+    )
+    rows, errors = parse_table(path, "medications")
+    assert [r.drug_name for r in rows] == ["lisinopril"]
+    assert [(e.row, e.message) for e in errors] == [
+        (2, "expected 3 cells, got 2"),
+        (3, "expected 3 cells, got 4"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("systolic", "nan"), ("diastolic", "inf"), ("pulse", "-Infinity"), ("age", "NaN")],
+)
+def test_parse_non_finite_numbers_are_row_errors(tmp_path, column, cell):
+    names = ENCOUNTER_HEADER.split(",")
+    cells = "p1,2023-01-05,142,91,72,,80.5,,,,,,F,61,white,married,english,never,I10,0".split(",")
+    cells[names.index(column)] = cell
+    path = tmp_path / "encounters.csv"
+    _write(path, [ENCOUNTER_HEADER, ",".join(cells)])
+    rows, errors = parse_table(path, "encounters")
+    assert rows == []
+    assert [e.message for e in errors] == [f"non-finite numeric {cell!r} in column {column}"]
+
+
+def test_parse_undecodable_text_is_a_data_error(tmp_path):
+    path = tmp_path / "labs.csv"
+    path.write_bytes(b"patient_id,date,panel_name\np1,2023-01-05,CBC\xff\xfe\n")
+    with pytest.raises(DataError, match="labs.csv: not UTF-8 text"):
+        parse_table(path, "labs")
+
+
+_VALID_ROWS = {
+    "encounters": "p1,2023-01-05,142,91,72,,80.5,,,,,,F,61,white,married,english,never,I10,0",
+    "medications": "p1,2023-01-05,Lisinopril",
+    "labs": "p1,2023-01-05,CBC",
+    "diagnoses": "p1,2023-01-05,I10,1",
+}
+_CELLS = st.one_of(
+    st.sampled_from(
+        ["", " ", "nan", "-inf", "inf", "1e999", '"', '""', ",", "\n", "p1", "2023-01-05",
+         "142", "-5", "0", "1", "F", "M", "I10", "Lisinopril"]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(sorted(TABLE_COLUMNS)))
+def test_appended_rows_parse_or_become_row_errors_property(data, kind):
+    # Rows of any cell count, near the header's most of all, appended to
+    # a valid table: each one parses or becomes a RowError, and nothing
+    # else escapes parse_table.
+    width = len(TABLE_COLUMNS[kind])
+    counts = st.one_of(
+        st.sampled_from([0, 1, width - 1, width, width, width + 1]), st.integers(0, 24)
+    )
+    row = counts.flatmap(lambda n: st.lists(_CELLS, min_size=n, max_size=n))
+    rows = data.draw(st.lists(row, max_size=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            handle.write(",".join(TABLE_COLUMNS[kind]) + "\n" + _VALID_ROWS[kind] + "\n")
+            # A CRLF terminator makes the writer quote a lone "\r" too.
+            csv.writer(handle, lineterminator="\r\n").writerows(rows)
+        events, errors = parse_table(path, kind)
+    appended = sum(1 for row in rows if row)  # an empty row is a blank line, skipped
+    assert len(events) + len(errors) == 1 + appended
+    assert events and events[0].patient == "p1"
+    assert all(e.table == kind and 3 <= e.row <= 2 + appended for e in errors)
 
 
 def test_parse_missing_required_column_is_fatal(tmp_path):

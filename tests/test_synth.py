@@ -7,7 +7,12 @@ import pytest
 
 from htnrisk.cohort import select_cohort
 from htnrisk.ehr_core import merge_patient_timeline, parse_table
+import htnrisk.synth as synth
 from htnrisk.synth import (
+    LANGUAGES,
+    MARITAL,
+    RACES,
+    SMOKING,
     GeneratorConfig,
     generate_cohort,
     generator_config_from_file,
@@ -68,16 +73,14 @@ def _pooled_lag1(tables, mean):
 def test_generated_tables_parse_with_zero_row_errors(tmp_path):
     config = GeneratorConfig(n_patients=60, seed=7)
     tables = generate_cohort(config)
-    write_cohort(tables, tmp_path)
-    for kind, events in (
-        ("encounters", tables.encounters),
-        ("medications", tables.medications),
-        ("labs", tables.labs),
-        ("diagnoses", tables.diagnoses),
-    ):
+    paths, n_encounters = write_cohort(config, tmp_path)
+    kinds = ("encounters", "medications", "labs", "diagnoses")
+    assert paths == [tmp_path / f"{kind}.csv" for kind in kinds]
+    assert n_encounters == len(tables.encounters)
+    for kind in kinds:
         rows, errors = parse_table(tmp_path / f"{kind}.csv", kind)
         assert errors == []
-        assert len(rows) == len(events)
+        assert len(rows) == len(getattr(tables, kind))
 
 
 def test_every_event_lands_on_an_encounter_date():
@@ -212,15 +215,15 @@ def test_same_seed_reproduces_identical_files(tmp_path):
     config = GeneratorConfig(n_patients=30, seed=21)
     first = tmp_path / "a"
     second = tmp_path / "b"
-    write_cohort(generate_cohort(config), first)
-    write_cohort(generate_cohort(config), second)
+    write_cohort(config, first)
+    write_cohort(config, second)
     for kind in ("encounters", "medications", "labs", "diagnoses"):
         assert (first / f"{kind}.csv").read_bytes() == (second / f"{kind}.csv").read_bytes()
 
 
 def test_different_seed_changes_the_data(tmp_path):
-    write_cohort(generate_cohort(GeneratorConfig(n_patients=30, seed=21)), tmp_path / "a")
-    write_cohort(generate_cohort(GeneratorConfig(n_patients=30, seed=22)), tmp_path / "b")
+    write_cohort(GeneratorConfig(n_patients=30, seed=21), tmp_path / "a")
+    write_cohort(GeneratorConfig(n_patients=30, seed=22), tmp_path / "b")
     assert (tmp_path / "a" / "encounters.csv").read_bytes() != (
         tmp_path / "b" / "encounters.csv"
     ).read_bytes()
@@ -236,6 +239,43 @@ def test_patient_streams_do_not_depend_on_cohort_size():
     assert small.medications == [e for e in large.medications if e.patient in small_ids]
     assert small.labs == [e for e in large.labs if e.patient in small_ids]
     assert small.diagnoses == [e for e in large.diagnoses if e.patient in small_ids]
+
+
+@pytest.mark.parametrize("weighted", [RACES, MARITAL, LANGUAGES, SMOKING])
+def test_weighted_choice_draws_what_generator_choice_draws(weighted):
+    # The reference is numpy's own weighted draw, which the generator
+    # used before; both must pick the same name and consume one uniform.
+    names = [name for name, _ in weighted]
+    probs = np.array([p for _, p in weighted])
+    table = synth._cdf(weighted)
+    for seed in range(2000):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = names[numpys.choice(len(names), p=probs / probs.sum())]
+        assert synth._choice(ours, table) == expected
+        assert ours.random() == numpys.random()
+
+
+@pytest.mark.parametrize(
+    "n_patients, cores, expected",
+    [
+        (10, 4, [10]),
+        (700, 1, [700]),
+        (1499, 4, [749, 750]),
+        (1999, 4, [666, 666, 667]),
+        (2000, 4, [500, 500, 500, 500]),
+        (5000, 2, [2500, 2500]),
+        (5001, 3, [1667, 1667, 1667]),
+    ],
+)
+def test_patient_blocks_are_contiguous_and_not_below_the_minimum(
+    monkeypatch, n_patients, cores, expected
+):
+    monkeypatch.setattr(synth, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(synth, "MIN_BLOCK_PATIENTS", 500)
+    blocks = synth._blocks(n_patients)
+    assert [len(block) for block in blocks] == expected
+    assert [i for block in blocks for i in block] == list(range(n_patients))
+    assert len(blocks) == 1 or min(map(len, blocks)) >= synth.MIN_BLOCK_PATIENTS
 
 
 # -- config files -------------------------------------------------------------
