@@ -450,7 +450,8 @@ def _run_blocks(config: GeneratorConfig, blocks: list[range]) -> list[tuple[list
             results.append(_receive_block(child, receiver, patients))
         return results
     except BaseException:
-        # A child may be blocked sending to a parent that no longer reads.
+        # The other blocks are no longer wanted: stop children still
+        # generating, and any blocked sending to a pipe about to close.
         for child, _ in children:
             if child.pid is not None:
                 child.terminate()
