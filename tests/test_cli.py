@@ -218,7 +218,9 @@ def _with_collector_disabled(run):
         gc.enable()
 
 
-def test_stages_leave_no_cyclic_garbage_beyond_the_parser(pipeline, tmp_path, monkeypatch, capsys):
+def test_stages_leave_no_cyclic_garbage_beyond_the_parser(
+    pipeline, tmp_path, monkeypatch, capsys
+):
     # main pauses the collector for each stage, which is safe only while
     # stages build no reference cycles; argparse's parser is the one
     # cyclic structure main makes. The fixture has run every lazy import.
@@ -231,6 +233,7 @@ def test_stages_leave_no_cyclic_garbage_beyond_the_parser(pipeline, tmp_path, mo
         (["featurize", "--samples", str(tmp_path / "missing.json"),
           "--out", str(tmp_path / "x")], 2),
     ]
+
     def check(argv, code):
         codes = []
         still_disabled, found = _with_collector_disabled(lambda: codes.append(main(argv)))
@@ -280,10 +283,12 @@ def test_generated_files_do_not_depend_on_the_block_count(
 ):
     block_counts = []
     run_blocks = synth._run_blocks
-    monkeypatch.setattr(
-        synth, "_run_blocks", lambda config, blocks: block_counts.append(len(blocks))
-        or run_blocks(config, blocks)
-    )
+
+    def counted(config, blocks):
+        block_counts.append(len(blocks))
+        return run_blocks(config, blocks)
+
+    monkeypatch.setattr(synth, "_run_blocks", counted)
 
     def generate(name, cores):
         # Each run writes to "data" in its own directory, so the manifests'
@@ -310,12 +315,12 @@ def test_a_data_error_in_any_block_is_a_data_error(tmp_path, monkeypatch, capsys
     _split_into_blocks(monkeypatch, cores=3)
     generate_patient = synth._generate_patient
 
-    def fail_once(pid, rng, config):
+    def fail_for_one_patient(pid, rng, config):
         if pid == failing:
             raise DataError(f"cannot generate {pid}")
         return generate_patient(pid, rng, config)
 
-    monkeypatch.setattr(synth, "_generate_patient", fail_once)
+    monkeypatch.setattr(synth, "_generate_patient", fail_for_one_patient)
     assert main(["generate", "--out", str(tmp_path / "d"), "--seed", "1", "--patients", "6"]) == 2
     assert capsys.readouterr().err == f"error: generate: cannot generate {failing}\n"
     assert multiprocessing.active_children() == []
