@@ -1,18 +1,20 @@
-"""Shared artifact plumbing: canonical JSON, hashing, key=value configs,
-and per-stage run manifests.
+"""Shared artifact plumbing: canonical JSON, LF CSV, hashing, key=value
+configs, and per-stage run manifests.
 
 Every file the pipeline writes must be byte-reproducible under a fixed
 seed, so all JSON goes through `canonical_json` (sorted keys, no
-whitespace, repr-exact floats) and all CSVs use LF line endings.
+whitespace, repr-exact floats) and all CSVs through `write_csv` (UTF-8,
+LF line endings).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, get_type_hints
 
 from .ehr_core import DataError
 
@@ -32,6 +34,14 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"{path}: not valid JSON: {err}") from None
+
+
+def write_csv(path: str | Path, header: list, rows: Iterable[list]) -> None:
+    """Write `header`, then each of `rows`, as UTF-8 CSV with LF line endings."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -78,6 +88,30 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def read_config(cls: type, path: str | Path) -> dict[str, Any]:
+    """The fields of dataclass `cls` that the key=value file at `path`
+    sets, each converted to its annotated type.
+
+    A key that is not a field of `cls`, or a value its type cannot take,
+    is a ValueError. A bool is one of true/false, yes/no or 1/0, in any
+    case.
+    """
+    types = get_type_hints(cls)
+    values = {}
+    for key, text in read_kv_config(path).items():
+        if key not in types:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        kind = types[key]
+        try:
+            values[key] = _BOOLS[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: {key}={text!r} is not a valid {kind.__name__}") from None
+    return values
 
 
 # -- run manifests -----------------------------------------------------------

@@ -9,13 +9,11 @@ the step count. The linear model is ranked by absolute weight instead.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .artifacts import format_number
+from .artifacts import format_number, write_csv
 from .nnet import LrParams, LstmParams, lstm_input_gradients
 
 DEFAULT_STEPS = 128
@@ -115,18 +113,15 @@ def population_attributions(
 def write_sequence_attribution_csv(attributions: np.ndarray, names: list[str], path) -> None:
     """Per-timestep export: feature,timestep,score."""
     T, F = attributions.shape
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["feature", "timestep", "score"])
-        for j in range(F):
-            for t in range(T):
-                writer.writerow([names[j], t, format_number(float(attributions[t, j]))])
+    rows = (
+        [names[j], t, format_number(float(attributions[t, j]))]
+        for j in range(F)
+        for t in range(T)
+    )
+    write_csv(path, ["feature", "timestep", "score"], rows)
 
 
 def write_ranked_csv(ranked: list[tuple[str, float]], path, value_column: str) -> None:
     """Ranked export: feature,<value_column>,rank."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["feature", value_column, "rank"])
-        for rank, (name, score) in enumerate(ranked, 1):
-            writer.writerow([name, format_number(score), rank])
+    rows = ([name, format_number(score), rank] for rank, (name, score) in enumerate(ranked, 1))
+    write_csv(path, ["feature", value_column, "rank"], rows)

@@ -26,15 +26,19 @@ from .cohort import (
     select_cohort,
     write_exclusion_report,
 )
-from .ehr_core import DataError, merge_patient_timeline, parse_table, write_error_report
+from .ehr_core import (
+    TABLE_COLUMNS,
+    DataError,
+    merge_patient_timeline,
+    parse_table,
+    write_error_report,
+)
 from .nnet import NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-TABLE_KINDS = ("encounters", "medications", "labs", "diagnoses")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +97,7 @@ def cmd_cohort(args) -> int:
     data_dir = Path(args.data)
     events = {}
     row_errors = []
-    for kind in TABLE_KINDS:
+    for kind in TABLE_COLUMNS:
         parsed, errors = parse_table(data_dir / f"{kind}.csv", kind)
         events[kind] = parsed
         row_errors.extend(errors)
@@ -120,7 +124,7 @@ def cmd_cohort(args) -> int:
     write_manifest(
         out,
         "cohort",
-        inputs={kind: data_dir / f"{kind}.csv" for kind in TABLE_KINDS},
+        inputs={kind: data_dir / f"{kind}.csv" for kind in TABLE_COLUMNS},
         outputs={
             "samples": samples_path,
             "exclusions": exclusions_path,
@@ -205,7 +209,6 @@ def cmd_train(args) -> int:
     from .train import (
         TrainingDiverged,
         config_from_file,
-        config_to_dict,
         default_config,
         grid_results_to_csv,
         grid_search,
@@ -223,9 +226,7 @@ def cmd_train(args) -> int:
     if args.config:
         config = config_from_file(args.config, overrides)
     else:
-        config = default_config(args.model, seed=overrides.get("seed", 0))
-        if args.epochs is not None:
-            config = replace(config, max_epochs=args.epochs)
+        config = replace(default_config(args.model), **overrides)
     train_data, val_data = _featurized_splits(cohort, schema, config.model_kind)
     out = _out_dir(args)
     outputs = {}
@@ -249,7 +250,7 @@ def cmd_train(args) -> int:
         params,
         schema,
         training={
-            "config": config_to_dict(config),
+            "config": asdict(config),
             "epochs_run": len(log.epochs),
             "stop_reason": log.stop_reason,
         },
@@ -260,7 +261,7 @@ def cmd_train(args) -> int:
         "train",
         inputs={"samples": args.samples, "schema": args.schema},
         outputs=outputs,
-        config=config_to_dict(config),
+        config=asdict(config),
         seed=config.seed,
         unhashed_outputs={"train_log": log_path},
     )

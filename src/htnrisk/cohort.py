@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .artifacts import derive_seed
+from .artifacts import derive_seed, write_csv
 from .ehr_core import DataError, EncounterRecord, PatientId, encounter_from_dict, encounter_to_dict
 
 SYSTOLIC_THRESHOLD = 140.0  # mmHg, label boundary (inclusive)
@@ -134,16 +134,11 @@ def write_exclusion_report(
     tally: dict[str, int], total_patients: int, path
 ) -> None:
     """CSV mirror of the exclusion cascade: rule,excluded_count,remaining_count."""
-    import csv
-    from pathlib import Path
-
-    remaining = total_patients
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rule", "excluded_count", "remaining_count"])
-        for rule in EXCLUSION_RULES:
-            remaining -= tally[rule]
-            writer.writerow([rule, tally[rule], remaining])
+    rows, remaining = [], total_patients
+    for rule in EXCLUSION_RULES:
+        remaining -= tally[rule]
+        rows.append([rule, tally[rule], remaining])
+    write_csv(path, ["rule", "excluded_count", "remaining_count"], rows)
 
 
 @dataclass
@@ -321,8 +316,9 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
     The returned cohort holds those patients' timelines, split assignments
     and samples. Every row of the file is still checked: a missing
     top-level key, a sample of an unknown patient, a target index outside
-    its patient's timeline (or at 0, which leaves no history), and an
-    unknown split name are each a DataError.
+    its patient's timeline (or at 0, which leaves no history), a label
+    other than 0 or 1, a `final` that is not a bool, and an unknown split
+    name are each a DataError.
     """
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != SAMPLES_FORMAT:
@@ -351,6 +347,11 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
             raise DataError(
                 f"patient {patient}: target_index {idx!r} outside 1..{lengths[patient] - 1}"
             )
+        label, final = row["label"], row["final"]
+        if type(label) is not int or label not in (0, 1):
+            raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
+        if type(final) is not bool:
+            raise DataError(f"patient {patient}: final {final!r} is not true or false")
         timeline = timelines.get(patient)
         if timeline is None:
             continue
@@ -360,10 +361,10 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
                 patient=patient,
                 history=timeline[:idx],
                 target_date=target.date,
-                label=BpStatus(row["label"]),
+                label=BpStatus(label),
                 sex=target.sex,
                 target_index=idx,
-                final=row["final"],
+                final=final,
             )
         )
     return Cohort(

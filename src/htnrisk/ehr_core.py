@@ -183,7 +183,7 @@ class DiagnosisEvent:
 class RowError:
     """One malformed row, reported instead of raised."""
 
-    row: int  # 1-based file line number (header = line 1)
+    row: int  # 1-based file line where the record starts (header = line 1)
     table: str
     message: str
 
@@ -308,9 +308,9 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
 
     A missing header column or text that is not UTF-8 is fatal
     (DataError); anything wrong with an individual row, including a cell
-    count other than the header's, lands in the error list with its
-    1-based line number. Extra or reordered columns are tolerated, and
-    blank lines are skipped.
+    count other than the header's, lands in the error list with the
+    1-based file line where the record starts. Extra or reordered columns
+    are tolerated, and blank lines are skipped.
     """
     if kind not in TABLE_COLUMNS:
         raise DataError(f"unknown table kind {kind!r}")
@@ -328,11 +328,13 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
             if missing:
                 raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             width = len(header)
-            lineno = 1
+            # A record starts on the line after the previous one ends: a
+            # quoted cell may span lines.
+            ended = reader.line_num
             for cells in reader:
+                lineno, ended = ended + 1, reader.line_num
                 if not cells:
                     continue
-                lineno += 1
                 if len(cells) != width:
                     message = f"expected {width} cells, got {len(cells)}"
                     errors.append(RowError(row=lineno, table=kind, message=message))
@@ -390,17 +392,10 @@ def write_table(path: str | Path, kind: str, bodies: Iterable[str]) -> None:
         handle.writelines(bodies)
 
 
-def serialize_table(events: Iterable, kind: str, path: str | Path) -> None:
-    """Write events back out in the canonical column order, LF-terminated."""
-    write_table(path, kind, [format_rows(events, kind)])
-
-
 def write_error_report(errors: Iterable[RowError], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row", "table", "message"])
-        for err in errors:
-            writer.writerow([err.row, err.table, err.message])
+    from .artifacts import write_csv
+
+    write_csv(path, ["row", "table", "message"], ([e.row, e.table, e.message] for e in errors))
 
 
 def merge_patient_timeline(

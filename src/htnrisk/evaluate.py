@@ -9,13 +9,11 @@ ties counted one half.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import format_number
+from .artifacts import format_number, write_csv
 from .cohort import BpStatus, CohortSample, label_bp_status
 from .ehr_core import DataError
 
@@ -78,13 +76,11 @@ class RocCurve:
     thresholds: list[float]  # same length; leading point carries +inf
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for threshold, (fpr, tpr) in zip(self.thresholds, self.points):
-                writer.writerow(
-                    [format_number(threshold), format_number(fpr), format_number(tpr)]
-                )
+        rows = (
+            [format_number(threshold), format_number(fpr), format_number(tpr)]
+            for threshold, (fpr, tpr) in zip(self.thresholds, self.points)
+        )
+        write_csv(path, ["threshold", "fpr", "tpr"], rows)
 
 
 def roc_curve(labels, scores) -> RocCurve:

@@ -12,13 +12,11 @@ blood-pressure lag block from it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import canonical_json, format_number, sha256_hex
+from .artifacts import canonical_json, format_number, sha256_hex, write_csv
 from .cohort import CohortSample, compute_bp_fraction, label_bp_status
 from .ehr_core import DataError, EncounterRecord, MedicationCategory, DEMOGRAPHIC_NAMES
 
@@ -464,8 +462,4 @@ def export_csv(samples, schema, sequence_path, lr_path) -> None:
 
 def _write_csv(path, header: list[str], keys, X: np.ndarray) -> None:
     """One row per key: the key's cells, then that row of X."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for key, x in zip(keys, X):
-            writer.writerow(key + [format_number(v) for v in x])
+    write_csv(path, header, (key + [format_number(v) for v in x] for key, x in zip(keys, X)))

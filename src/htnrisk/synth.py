@@ -23,15 +23,14 @@ that to generate contiguous blocks of patients on all usable cores.
 from __future__ import annotations
 
 import os
-import typing
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import derive_seed, read_kv_config
+from .artifacts import derive_seed, read_config
 from .ehr_core import (
     TABLE_COLUMNS,
     DiagnosisEvent,
@@ -130,19 +129,19 @@ class GeneratorConfig:
     no_vitals_rate: float = 0.02
     last_gap_rate: float = 0.02
 
+    def __post_init__(self):
+        # The visit gaps are gamma draws of this mean and sd, and the AR(1)
+        # deviations start from their stationary sd, noise_sd / sqrt(1 - phi^2).
+        if self.gap_mean <= 0 or self.gap_sd <= 0:
+            raise ValueError("gap_mean and gap_sd must be positive")
+        if not -1 < self.phi < 1:
+            raise ValueError(f"phi must be in (-1, 1), got {self.phi}")
+
 
 def generator_config_from_file(path, overrides: dict | None = None) -> GeneratorConfig:
-    """Load a flat key=value config; keys are GeneratorConfig field names."""
-    raw = read_kv_config(path)
-    if overrides:
-        raw.update({k: str(v) for k, v in overrides.items()})
-    hints = typing.get_type_hints(GeneratorConfig)
-    known = {f.name for f in fields(GeneratorConfig)}
-    values = {}
-    for key, text in raw.items():
-        if key not in known:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        values[key] = hints[key](text)
+    """Load a flat key=value config; keys are GeneratorConfig field names,
+    and `overrides` win over the file."""
+    values = {**read_config(GeneratorConfig, path), **(overrides or {})}
     return replace(GeneratorConfig(), **values)
 
 

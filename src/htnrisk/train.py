@@ -8,14 +8,12 @@ epoch-over-epoch improvement is at most 1e-7, or at the epoch cap.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import derive_seed, format_number, read_kv_config
+from .artifacts import derive_seed, format_number, read_config, write_csv
 from .ehr_core import DataError
 from .nnet import (
     GATES,
@@ -72,7 +70,7 @@ class TrainConfig:
             raise ValueError("l1_lambda must be >= 0 and dropout_rate in [0, 1)")
 
 
-def default_config(model_kind: str, seed: int = 0) -> TrainConfig:
+def default_config(model_kind: str) -> TrainConfig:
     """The optimized published setups: LR/Adam and LSTM/RMSProp."""
     if model_kind == "lr":
         return TrainConfig(
@@ -81,7 +79,6 @@ def default_config(model_kind: str, seed: int = 0) -> TrainConfig:
             l1_lambda=1e-3,
             max_epochs=LR_MAX_EPOCHS,
             optimizer="adam",
-            seed=seed,
         )
     return TrainConfig(
         model_kind="lstm",
@@ -91,47 +88,16 @@ def default_config(model_kind: str, seed: int = 0) -> TrainConfig:
         max_epochs=LSTM_MAX_EPOCHS,
         dropout_rate=0.2,
         optimizer="rmsprop",
-        seed=seed,
     )
 
 
-_CONFIG_TYPES = {
-    "model_kind": str,
-    "learning_rate": float,
-    "l1_lambda": float,
-    "hidden_size": int,
-    "batch_size": int,
-    "max_epochs": int,
-    "early_stop_delta": float,
-    "dropout_rate": float,
-    "optimizer": str,
-    "seed": int,
-    "two_phase_adam": bool,
-}
-
-
 def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
-    """Load a flat key=value config; keys are TrainConfig field names."""
-    raw = read_kv_config(path)
-    if overrides:
-        raw.update({k: str(v) for k, v in overrides.items()})
-    if "model_kind" not in raw:
+    """Load a flat key=value config over the defaults of its model kind;
+    keys are TrainConfig field names, and `overrides` win over the file."""
+    values = {**read_config(TrainConfig, path), **(overrides or {})}
+    if "model_kind" not in values:
         raise ValueError(f"{path}: missing required key model_kind")
-    base = default_config(raw["model_kind"])
-    values = {}
-    for key, text in raw.items():
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        kind = _CONFIG_TYPES[key]
-        if kind is bool:
-            values[key] = text.strip().lower() in ("1", "true", "yes")
-        else:
-            values[key] = kind(text)
-    return replace(base, **values)
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    return {name: getattr(config, name) for name in _CONFIG_TYPES}
+    return replace(default_config(values["model_kind"]), **values)
 
 
 # -- class weighting -----------------------------------------------------------
@@ -233,18 +199,11 @@ class TrainLog:
     stop_reason: str = ""
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["epoch", "train_loss", "val_loss", "seconds"])
-            for stat in self.epochs:
-                writer.writerow(
-                    [
-                        stat.epoch,
-                        format_number(stat.train_loss),
-                        format_number(stat.val_loss),
-                        f"{stat.seconds:.3f}",
-                    ]
-                )
+        rows = (
+            [e.epoch, format_number(e.train_loss), format_number(e.val_loss), f"{e.seconds:.3f}"]
+            for e in self.epochs
+        )
+        write_csv(path, ["epoch", "train_loss", "val_loss", "seconds"], rows)
 
 
 class TrainingDiverged(NumericalError):
@@ -524,18 +483,14 @@ def load_model(path):
 
 
 def grid_results_to_csv(results: list[GridResult], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["learning_rate", "l1_lambda", "hidden_size", "batch_size", "val_auroc"]
-        )
-        for result in results:
-            writer.writerow(
-                [
-                    format_number(result.config.learning_rate),
-                    format_number(result.config.l1_lambda),
-                    result.config.hidden_size,
-                    result.config.batch_size,
-                    format_number(result.val_auroc),
-                ]
-            )
+    rows = (
+        [
+            format_number(r.config.learning_rate),
+            format_number(r.config.l1_lambda),
+            r.config.hidden_size,
+            r.config.batch_size,
+            format_number(r.val_auroc),
+        ]
+        for r in results
+    )
+    write_csv(path, ["learning_rate", "l1_lambda", "hidden_size", "batch_size", "val_auroc"], rows)

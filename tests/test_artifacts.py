@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,6 +10,7 @@ from htnrisk.artifacts import (
     canonical_json,
     derive_seed,
     format_number,
+    read_config,
     read_json,
     read_kv_config,
     sha256_file,
@@ -94,6 +96,53 @@ def test_kv_config_rejects_bare_lines(tmp_path):
     path.write_text("alpha\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected key=value"):
         read_kv_config(path)
+
+
+@dataclass
+class _Config:
+    model_kind: str = "lr"
+    hidden_size: int = 120
+    learning_rate: float = 1e-3
+    two_phase_adam: bool = False
+
+
+def test_read_config_returns_the_typed_fields_a_file_sets(tmp_path):
+    path = tmp_path / "c.kv"
+    path.write_text("model_kind=lstm\nhidden_size=12\nlearning_rate=5e-4\n", encoding="utf-8")
+    values = read_config(_Config, path)
+    assert values == {"model_kind": "lstm", "hidden_size": 12, "learning_rate": 5e-4}
+    assert type(values["hidden_size"]) is int and type(values["learning_rate"]) is float
+
+
+@pytest.mark.parametrize(
+    ("text", "value"),
+    [
+        ("true", True), ("True", True), ("YES", True), ("yes", True), ("1", True),
+        ("false", False), ("FALSE", False), ("No", False), ("no", False), ("0", False),
+    ],
+)
+def test_read_config_accepts_each_bool_spelling(tmp_path, text, value):
+    path = tmp_path / "c.kv"
+    path.write_text(f"two_phase_adam={text}\n", encoding="utf-8")
+    assert read_config(_Config, path)["two_phase_adam"] is value
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("two_phase_adam=ture", "two_phase_adam='ture' is not a valid bool"),
+        ("two_phase_adam=", "two_phase_adam='' is not a valid bool"),
+        ("hidden_size=1.5", "hidden_size='1.5' is not a valid int"),
+        ("learning_rate=fast", "learning_rate='fast' is not a valid float"),
+        ("momentum=0.9", "unknown config key 'momentum'"),
+    ],
+)
+def test_read_config_rejects_unknown_keys_and_bad_values(tmp_path, line, message):
+    path = tmp_path / "c.kv"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        read_config(_Config, path)
+    assert str(raised.value) == f"{path}: {message}"
 
 
 def test_manifest_records_content_hashes(tmp_path):

@@ -163,6 +163,18 @@ def test_attribute_lstm_writes_per_step_and_aggregate(pipeline):
     assert manifest["config"]["steps"] == 16
 
 
+def test_every_csv_is_utf8_with_lf_line_endings(pipeline):
+    paths = sorted(pipeline["root"].rglob("*.csv"))
+    assert {path.name for path in paths} == {
+        "encounters.csv", "medications.csv", "labs.csv", "diagnoses.csv",
+        "exclusions.csv", "row_errors.csv", "sequence_features.csv", "lr_features.csv",
+        "train_log.csv", "roc_model.csv", "roc_baseline.csv", "lr_weights.csv",
+        "attributions.csv", "attributions_agg.csv",
+    }
+    for path in paths:
+        assert "\r" not in path.read_bytes().decode("utf-8"), path
+
+
 # -- reruns -------------------------------------------------------------------
 
 
@@ -363,6 +375,26 @@ def test_bad_model_choice_is_a_usage_error(capsys):
     assert "error: usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("setting", "message"),
+    [
+        ("gap_mean=0", "gap_mean and gap_sd must be positive"),
+        ("gap_sd=0", "gap_mean and gap_sd must be positive"),
+        ("phi=1", "phi must be in (-1, 1), got 1.0"),
+        ("phi=-1.5", "phi must be in (-1, 1), got -1.5"),
+        ("visits_min=1.5", "visits_min='1.5' is not a valid int"),
+        ("flux=1", "unknown config key 'flux'"),
+    ],
+)
+def test_bad_generator_config_is_a_usage_error(tmp_path, capsys, setting, message):
+    config = tmp_path / "gen.kv"
+    config.write_text(setting + "\n", encoding="utf-8")
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generate: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
+
+
 def test_nonpositive_patient_count_is_a_data_error(tmp_path, capsys):
     assert main(["generate", "--out", str(tmp_path / "d"), "--patients", "0"]) == 2
     assert "error: generate: empty cohort" in capsys.readouterr().err
@@ -471,6 +503,17 @@ def test_target_index_outside_the_timeline_is_a_data_error(
     err = capsys.readouterr().err
     assert err.startswith("error: featurize: patient ") and err.count("\n") == 1
     assert f"target_index {target_index} outside 1.." in err
+
+
+@pytest.mark.parametrize(("key", "value"), [("label", 5), ("final", 1)])
+def test_bad_label_or_final_is_a_data_error(pipeline, tmp_path, capsys, key, value):
+    def damage(data):
+        data["samples"][0][key] = value
+
+    assert _featurize_damaged_samples(pipeline, tmp_path, damage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: featurize: patient ") and err.count("\n") == 1
+    assert f": {key} {value} is not " in err
 
 
 def test_unknown_split_is_a_data_error(pipeline, tmp_path, capsys):

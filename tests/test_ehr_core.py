@@ -1,6 +1,7 @@
 """Parsing, drug categorization, and timeline merging."""
 
 import csv
+import io
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -20,11 +21,12 @@ from htnrisk.ehr_core import (
     categorize_medication,
     encounter_from_dict,
     encounter_to_dict,
+    format_rows,
     merge_patient_timeline,
     normalize_drug_name,
     parse_table,
-    serialize_table,
     write_error_report,
+    write_table,
 )
 
 
@@ -132,6 +134,24 @@ def test_parse_collects_row_errors_with_line_numbers(tmp_path):
     assert all(e.table == "encounters" for e in errors)
 
 
+def test_row_errors_carry_the_file_line_where_the_record_starts(tmp_path):
+    path = tmp_path / "labs.csv"
+    _write(
+        path,
+        [
+            "patient_id,date,panel_name",
+            "",                                     # blank line 2
+            "p1,2023-13-01,Urinalysis",             # line 3: bad date
+            'p1,2023-01-05,"Lytes/Renal',           # lines 4-5: one quoted cell
+            'Glucose"',
+            "p1,2023-01-06,Urinalysis,extra",       # line 6: four cells
+        ],
+    )
+    rows, errors = parse_table(path, "labs")
+    assert [r.panel_name for r in rows] == ["Lytes/Renal\nGlucose"]
+    assert [e.row for e in errors] == [3, 6]
+
+
 def test_parse_rows_with_another_cell_count_are_row_errors(tmp_path):
     path = tmp_path / "medications.csv"
     _write(
@@ -210,7 +230,19 @@ def test_appended_rows_parse_or_become_row_errors_property(data, kind):
     appended = sum(1 for row in rows if row)  # an empty row is a blank line, skipped
     assert len(events) + len(errors) == 1 + appended
     assert events and events[0].patient == "p1"
-    assert all(e.table == kind and 3 <= e.row <= 2 + appended for e in errors)
+    # Each error names the file line where its record starts: the lines
+    # before it are the header, the valid row and the earlier appended rows,
+    # split as the reader splits them.
+    starts, line = [], 3
+    for row in rows:
+        if row:
+            starts.append(line)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\r\n").writerow(row)
+        line += len(io.StringIO(text.getvalue(), newline="").readlines())
+    assert all(e.table == kind for e in errors)
+    assert [e.row for e in errors] == sorted(set(e.row for e in errors))
+    assert {e.row for e in errors} <= set(starts)
 
 
 def test_parse_missing_required_column_is_fatal(tmp_path):
@@ -249,7 +281,7 @@ def test_serialize_then_parse_round_trips(tmp_path, make_encounter):
         make_encounter(patient="p2", sex="male", diagnosis_code="I10", deceased=True),
     ]
     path = tmp_path / "encounters.csv"
-    serialize_table(records, "encounters", path)
+    write_table(path, "encounters", [format_rows(records, "encounters")])
     parsed, errors = parse_table(path, "encounters")
     assert errors == []
     assert [encounter_to_dict(e) for e in parsed] == [encounter_to_dict(e) for e in records]

@@ -1,6 +1,6 @@
 """Optimizers against reference recurrences, the training loop, and model IO."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from htnrisk.train import (
     adam_step,
     class_weights,
     config_from_file,
-    config_to_dict,
     default_config,
     grid_search,
     load_model,
@@ -219,6 +218,10 @@ def test_config_from_file(tmp_path):
     overridden = config_from_file(path, {"seed": 9, "hidden_size": 6})
     assert overridden.seed == 9 and overridden.hidden_size == 6
 
+    path.write_text("model_kind=lstm\ntwo_phase_adam=ture\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="two_phase_adam='ture' is not a valid bool"):
+        config_from_file(path)
+
 
 def test_config_from_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "train.kv"
@@ -418,7 +421,7 @@ def test_model_save_load_round_trip(tmp_path, rng, make_timeline):
     config = TrainConfig(model_kind="lr", max_epochs=3, early_stop_delta=-1e18, seed=4)
     params, log = train_model(config, (X, y), (X, y))
     path = tmp_path / "model.json"
-    save_model(path, "lr", params, schema, {"config": config_to_dict(config)})
+    save_model(path, "lr", params, schema, {"config": asdict(config)})
     kind, loaded, loaded_schema, training = load_model(path)
     assert kind == "lr"
     np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
