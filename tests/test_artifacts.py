@@ -127,16 +127,16 @@ def test_read_config_accepts_each_bool_spelling(tmp_path, text, value):
     assert read_config(_Config, path)["two_phase_adam"] is value
 
 
-@pytest.mark.parametrize(
-    ("line", "message"),
-    [
-        ("two_phase_adam=ture", "two_phase_adam='ture' is not a valid bool"),
-        ("two_phase_adam=", "two_phase_adam='' is not a valid bool"),
-        ("hidden_size=1.5", "hidden_size='1.5' is not a valid int"),
-        ("learning_rate=fast", "learning_rate='fast' is not a valid float"),
-        ("momentum=0.9", "unknown config key 'momentum'"),
-    ],
-)
+_BAD_LINES = [
+    ("two_phase_adam=ture", "two_phase_adam='ture' is not a valid bool"),
+    ("two_phase_adam=", "two_phase_adam='' is not a valid bool"),
+    ("hidden_size=1.5", "hidden_size='1.5' is not a valid int"),
+    ("learning_rate=fast", "learning_rate='fast' is not a valid float"),
+    ("momentum=0.9", "unknown config key 'momentum'"),
+]
+
+
+@pytest.mark.parametrize(("line", "message"), _BAD_LINES, ids=[line for line, _ in _BAD_LINES])
 def test_read_config_rejects_unknown_keys_and_bad_values(tmp_path, line, message):
     path = tmp_path / "c.kv"
     path.write_text(line + "\n", encoding="utf-8")

@@ -375,16 +375,18 @@ def test_bad_model_choice_is_a_usage_error(capsys):
     assert "error: usage:" in capsys.readouterr().err
 
 
+_BAD_GENERATOR_SETTINGS = [
+    ("gap_mean=0", "gap_mean and gap_sd must be positive"),
+    ("gap_sd=0", "gap_mean and gap_sd must be positive"),
+    ("phi=1", "phi must be in (-1, 1), got 1.0"),
+    ("phi=-1.5", "phi must be in (-1, 1), got -1.5"),
+    ("visits_min=1.5", "visits_min='1.5' is not a valid int"),
+    ("flux=1", "unknown config key 'flux'"),
+]
+
+
 @pytest.mark.parametrize(
-    ("setting", "message"),
-    [
-        ("gap_mean=0", "gap_mean and gap_sd must be positive"),
-        ("gap_sd=0", "gap_mean and gap_sd must be positive"),
-        ("phi=1", "phi must be in (-1, 1), got 1.0"),
-        ("phi=-1.5", "phi must be in (-1, 1), got -1.5"),
-        ("visits_min=1.5", "visits_min='1.5' is not a valid int"),
-        ("flux=1", "unknown config key 'flux'"),
-    ],
+    ("setting", "message"), _BAD_GENERATOR_SETTINGS, ids=[s for s, _ in _BAD_GENERATOR_SETTINGS]
 )
 def test_bad_generator_config_is_a_usage_error(tmp_path, capsys, setting, message):
     config = tmp_path / "gen.kv"
