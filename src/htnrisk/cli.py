@@ -61,6 +61,14 @@ def _load_cohort(path, *splits):
     return cohort_from_dict(read_json(path), splits)
 
 
+def _evaluation_samples(path, split):
+    """The per-patient final samples of `split`: the ones every model is scored on."""
+    samples = _load_cohort(path, split).evaluation_samples(split)
+    if not samples:
+        raise DataError(f"no evaluation samples in split {split!r}")
+    return samples
+
+
 # -- generate -------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
@@ -194,16 +202,6 @@ def cmd_featurize(args) -> int:
 
 # -- train ----------------------------------------------------------------------
 
-def _featurized_splits(cohort, schema, model_kind):
-    from .featurize import featurize_lr, featurize_sequences
-
-    build = featurize_lr if model_kind == "lr" else featurize_sequences
-    return (
-        build(cohort.samples_in("train"), schema),
-        build(cohort.samples_in("validation"), schema),
-    )
-
-
 def cmd_train(args) -> int:
     from .featurize import schema_from_dict
     from .train import (
@@ -212,6 +210,7 @@ def cmd_train(args) -> int:
         default_config,
         grid_results_to_csv,
         grid_search,
+        model_inputs,
         save_model,
         train_model,
     )
@@ -227,7 +226,10 @@ def cmd_train(args) -> int:
         config = config_from_file(args.config, overrides)
     else:
         config = replace(default_config(args.model), **overrides)
-    train_data, val_data = _featurized_splits(cohort, schema, config.model_kind)
+    train_data, val_data = (
+        model_inputs(config.model_kind, cohort.samples_in(split), schema)
+        for split in ("train", "validation")
+    )
     out = _out_dir(args)
     outputs = {}
     log_path = out / "train_log.csv"
@@ -276,16 +278,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .evaluate import carry_forward_baseline, evaluate_scores, roc_curve
-    from .featurize import featurize_lr, featurize_sequences
-    from .train import load_model, predict_proba
+    from .train import load_model, model_inputs, predict_proba
 
     kind, params, schema, _training = load_model(args.model)
-    cohort = _load_cohort(args.samples, args.split)
-    samples = cohort.evaluation_samples(args.split)
-    if not samples:
-        raise DataError(f"no evaluation samples in split {args.split!r}")
-    build = featurize_lr if kind == "lr" else featurize_sequences
-    X, y = build(samples, schema)
+    samples = _evaluation_samples(args.samples, args.split)
+    X, y = model_inputs(kind, samples, schema)
     scores = predict_proba(kind, params, X)
     baseline_pairs = [carry_forward_baseline(s) for s in samples]
     baseline_scores = np.array([score for _, score in baseline_pairs])
@@ -339,8 +336,7 @@ def cmd_attribute(args) -> int:
         write_ranked_csv,
         write_sequence_attribution_csv,
     )
-    from .featurize import featurize_sequences
-    from .train import load_model
+    from .train import load_model, model_inputs
 
     if args.top <= 0:
         raise ValueError("--top must be positive")
@@ -348,6 +344,7 @@ def cmd_attribute(args) -> int:
     out = _out_dir(args)
     outputs = {}
     if kind == "lr":
+        inputs = {"model": args.model}
         ranked = rank_lr_weights(params, schema.lr_columns, args.top)
         weights_path = out / "lr_weights.csv"
         write_ranked_csv(ranked, weights_path, value_column="weight")
@@ -356,11 +353,9 @@ def cmd_attribute(args) -> int:
     else:
         if not args.samples:
             raise ValueError("--samples is required for lstm models")
-        cohort = _load_cohort(args.samples, args.split)
-        samples = cohort.evaluation_samples(args.split)
-        if not samples:
-            raise DataError(f"no evaluation samples in split {args.split!r}")
-        X, _ = featurize_sequences(samples, schema)
+        inputs = {"model": args.model, "samples": args.samples}
+        samples = _evaluation_samples(args.samples, args.split)
+        X, _ = model_inputs(kind, samples, schema)
         mean_attr = population_attributions(lstm_scorer(params), X, steps=args.steps)
         per_step_path = out / "attributions.csv"
         write_sequence_attribution_csv(mean_attr, schema.columns, per_step_path)
@@ -371,9 +366,6 @@ def cmd_attribute(args) -> int:
         outputs["attributions"] = per_step_path
         outputs["attributions_agg"] = agg_path
         summary = f"mean attributions over {len(samples)} samples, top {len(ranked)}"
-    inputs = {"model": args.model}
-    if kind == "lstm":
-        inputs["samples"] = args.samples
     write_manifest(
         out,
         "attribute",
@@ -435,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model against the baseline")
     p.add_argument("--model", required=True, help="model.json from the train stage")
     p.add_argument("--samples", required=True)
-    p.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -443,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attribute", help="rank features by importance")
     p.add_argument("--model", required=True)
     p.add_argument("--samples", help="required for lstm models")
-    p.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--top", type=int, default=20, help="rows in the ranked export")
     p.add_argument("--steps", type=int, default=128, help="integration steps")
     p.add_argument("--out", required=True)

@@ -117,8 +117,10 @@ def apply_cohort_exclusions(
 
     Returns the included timelines and a tally mapping each rule name to
     the number of patients it removed (each patient counted once, under
-    the first matching rule).
+    the first matching rule). `fiscal_year_start` is a month, 1..12.
     """
+    if not 1 <= fiscal_year_start <= 12:
+        raise ValueError(f"fiscal year start month must be in 1..12, got {fiscal_year_start}")
     included: dict[PatientId, list[EncounterRecord]] = {}
     tally = {rule: 0 for rule in EXCLUSION_RULES}
     for patient, timeline in timelines.items():
@@ -283,6 +285,15 @@ def select_cohort(
 
 SAMPLES_FORMAT = "htnrisk-samples/1"
 
+#: The top-level keys of the samples file, with their JSON types.
+_SAMPLES_KEYS = {
+    "horizon_days": (int, "an integer"),
+    "total_patients": (int, "an integer"),
+    "exclusion_tally": (dict, "an object"),
+    "patients": (dict, "an object"),
+    "samples": (list, "a list"),
+}
+
 
 def cohort_to_dict(cohort: Cohort) -> dict:
     patients = {}
@@ -314,40 +325,56 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
     """Inverse of cohort_to_dict, decoding only the patients of `splits`.
 
     The returned cohort holds those patients' timelines, split assignments
-    and samples. Every row of the file is still checked: a missing
-    top-level key, a sample of an unknown patient, a target index outside
-    its patient's timeline (or at 0, which leaves no history), a label
-    other than 0 or 1, a `final` that is not a bool, and an unknown split
-    name are each a DataError.
+    and samples. Every patient entry and sample row of the file is still
+    checked: a missing top-level key or one of another JSON type, a patient
+    entry without a split and an encounters list, an unknown split name, a
+    sample row without its four keys, a sample of an unknown patient, a
+    target index outside its patient's timeline (or at 0, which leaves no
+    history), a label other than 0 or 1, and a `final` that is not a bool
+    are each a DataError, as is an encounter that `encounter_from_dict`
+    rejects among the decoded ones.
     """
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != SAMPLES_FORMAT:
         raise DataError(f"unsupported samples format {fmt!r}")
-    for key in ("horizon_days", "total_patients", "exclusion_tally", "patients", "samples"):
+    for key, (kind, name) in _SAMPLES_KEYS.items():
         if key not in data:
             raise DataError(f"samples file lacks {key}")
+        if type(data[key]) is not kind:
+            raise DataError(f"samples file {key} is not {name}")
     lengths = {}
     timelines = {}
     kept_splits = {}
     for patient, entry in data["patients"].items():
+        encounters = entry.get("encounters") if type(entry) is dict else None
+        if type(encounters) is not list or "split" not in entry:
+            raise DataError(f"patient {patient}: entry lacks a split or an encounters list")
         split = entry["split"]
         if split not in SPLIT_NAMES:
             raise DataError(f"patient {patient}: unknown split {split!r}")
-        lengths[patient] = len(entry["encounters"])
+        lengths[patient] = len(encounters)
         if split in splits:
-            timelines[patient] = [encounter_from_dict(e) for e in entry["encounters"]]
+            try:
+                timelines[patient] = [encounter_from_dict(e) for e in encounters]
+            except DataError as err:
+                raise DataError(f"patient {patient}: {err}") from None
             kept_splits[patient] = split
     samples = []
     for row in data["samples"]:
-        patient = row["patient"]
-        if patient not in lengths:
+        try:
+            patient, idx, label, final = (
+                row["patient"], row["target_index"], row["label"], row["final"]
+            )
+        except (KeyError, TypeError):
+            raise DataError(
+                f"sample {row!r} is not an object with patient, target_index, label and final"
+            ) from None
+        if type(patient) is not str or patient not in lengths:
             raise DataError(f"sample of unknown patient {patient!r}")
-        idx = row["target_index"]
         if type(idx) is not int or not 1 <= idx < lengths[patient]:
             raise DataError(
                 f"patient {patient}: target_index {idx!r} outside 1..{lengths[patient] - 1}"
             )
-        label, final = row["label"], row["final"]
         if type(label) is not int or label not in (0, 1):
             raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
         if type(final) is not bool:

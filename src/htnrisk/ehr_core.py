@@ -478,10 +478,52 @@ def encounter_to_dict(enc: EncounterRecord) -> dict:
     }
 
 
+#: Each key of an encoded encounter, the JSON types its value may have, and
+#: their name. The values of "vitals" are numbers; those of "demographics"
+#: and the items of the three lists are strings.
+_NUMBERS = (int, float)
+_ENCOUNTER_TYPES = {
+    "patient": ((str,), "a string"),
+    "date": ((str,), "a string"),
+    "sex": ((str,), "a string"),
+    "age": (_NUMBERS, "a number"),
+    "systolic": ((*_NUMBERS, type(None)), "a number or null"),
+    "diastolic": ((*_NUMBERS, type(None)), "a number or null"),
+    "vitals": ((dict,), "an object"),
+    "demographics": ((dict,), "an object"),
+    "diagnosis_code": ((str, type(None)), "a string or null"),
+    "deceased": ((bool,), "true or false"),
+    "med_categories": ((list,), "a list"),
+    "lab_panels": ((list,), "a list"),
+    "problems": ((list,), "a list"),
+}
+
+
 def encounter_from_dict(data: dict) -> EncounterRecord:
+    """Inverse of encounter_to_dict. A missing key, a value or item of
+    another JSON type, and a date that is not ISO are each a DataError."""
+    if type(data) is not dict:
+        raise DataError(f"encounter {data!r} is not an object")
+    try:
+        for key, (kinds, name) in _ENCOUNTER_TYPES.items():
+            if type(data[key]) not in kinds:
+                raise DataError(f"encounter {key} {data[key]!r} is not {name}")
+    except KeyError as err:
+        raise DataError(f"encounter lacks {err.args[0]}") from None
+    if not {int, float}.issuperset(map(type, data["vitals"].values())):
+        raise DataError(f"encounter vitals {data['vitals']!r} are not all numbers")
+    texts = (*data["demographics"].values(), *data["med_categories"], *data["lab_panels"],
+             *data["problems"])
+    if not {str}.issuperset(map(type, texts)):
+        raise DataError("encounter demographics, med_categories, lab_panels or problems "
+                        "hold a value that is not a string")
+    try:
+        when = date.fromisoformat(data["date"])
+    except ValueError:
+        raise DataError(f"encounter date {data['date']!r} is not an ISO date") from None
     return EncounterRecord(
         patient=data["patient"],
-        date=date.fromisoformat(data["date"]),
+        date=when,
         sex=data["sex"],
         age=data["age"],
         systolic=data["systolic"],

@@ -205,7 +205,6 @@ class LstmTape:
     mask: Matrix  # (n, H) inverted-dropout mask (ones when disabled)
     h_drop: Matrix  # (n, H)
     logits: np.ndarray  # (n,)
-    p: np.ndarray  # (n,)
 
 
 def _activate_gates(z: Matrix, hidden: int) -> None:
@@ -272,7 +271,7 @@ def lstm_forward(
     _require_finite("lstm output", logits)
     return p, LstmTape(
         X=X, gates=gates, c=c_s, tanh_c=tc_s, h=h_s,
-        mask=mask, h_drop=h_drop, logits=logits, p=p,
+        mask=mask, h_drop=h_drop, logits=logits,
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -136,6 +136,30 @@ class GeneratorConfig:
             raise ValueError("gap_mean and gap_sd must be positive")
         if not -1 < self.phi < 1:
             raise ValueError(f"phi must be in (-1, 1), got {self.phi}")
+        if not 1 <= self.visits_min <= self.visits_max:
+            raise ValueError(
+                f"visits_min and visits_max must satisfy 1 <= visits_min <= visits_max, "
+                f"got {self.visits_min} and {self.visits_max}"
+            )
+        for name in _PROBABILITY_FIELDS:
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        # One uniform draw is split among the roles (_assign_role).
+        total = sum(getattr(self, name) for name in _ROLE_RATES)
+        if total > 1:
+            names = ", ".join(_ROLE_RATES)
+            raise ValueError(f"the role rates {names} sum to {total:g}, more than 1")
+
+
+#: The fields that are probabilities, and those of them that are the rates
+#: of the patient roles, in the order _assign_role tries them.
+_PROBABILITY_FIELDS = tuple(
+    f.name for f in fields(GeneratorConfig)
+    if f.name.startswith("miss_") or f.name.endswith(("_prob", "_rate"))
+)
+_ROLE_RATES = tuple(
+    name for name in _PROBABILITY_FIELDS if name.endswith("_rate") and not name.startswith("miss_")
+)
 
 
 def generator_config_from_file(path, overrides: dict | None = None) -> GeneratorConfig:
@@ -184,17 +208,10 @@ def _gap_days(rng: np.random.Generator, mean: float, sd: float) -> int:
 def _assign_role(rng: np.random.Generator, config: GeneratorConfig) -> str:
     u = rng.random()
     edge = 0.0
-    for role, rate in (
-        ("deceased", config.deceased_rate),
-        ("minor", config.minor_rate),
-        ("elderly", config.elderly_rate),
-        ("sparse", config.sparse_rate),
-        ("no_vitals", config.no_vitals_rate),
-        ("last_gap", config.last_gap_rate),
-    ):
-        edge += rate
+    for name in _ROLE_RATES:
+        edge += getattr(config, name)
         if u < edge:
-            return role
+            return name.removesuffix("_rate")
     return "normal"
 
 

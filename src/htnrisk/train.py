@@ -66,25 +66,20 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
             raise ValueError("learning_rate, batch_size, and max_epochs must be positive")
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be at least 1, got {self.hidden_size}")
         if self.l1_lambda < 0 or not 0 <= self.dropout_rate < 1:
             raise ValueError("l1_lambda must be >= 0 and dropout_rate in [0, 1)")
 
 
 def default_config(model_kind: str) -> TrainConfig:
-    """The optimized published setups: LR/Adam and LSTM/RMSProp."""
+    """The optimized published setups: LR/Adam is the dataclass defaults,
+    and LSTM/RMSProp differs from them in four fields."""
     if model_kind == "lr":
-        return TrainConfig(
-            model_kind="lr",
-            learning_rate=1e-3,
-            l1_lambda=1e-3,
-            max_epochs=LR_MAX_EPOCHS,
-            optimizer="adam",
-        )
+        return TrainConfig(model_kind="lr")
     return TrainConfig(
         model_kind="lstm",
-        learning_rate=1e-3,
         l1_lambda=1e-5,
-        hidden_size=120,
         max_epochs=LSTM_MAX_EPOCHS,
         dropout_rate=0.2,
         optimizer="rmsprop",
@@ -98,6 +93,16 @@ def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
     if "model_kind" not in values:
         raise ValueError(f"{path}: missing required key model_kind")
     return replace(default_config(values["model_kind"]), **values)
+
+
+def model_inputs(model_kind: str, samples, schema) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) for one model kind: flat rows for lr, (n, 6, F) sequences
+    for lstm."""
+    # Imported per call, so wrappers patched onto featurize (perfbench/tracing.py) run.
+    from .featurize import featurize_lr, featurize_sequences
+
+    build = featurize_lr if model_kind == "lr" else featurize_sequences
+    return build(samples, schema)
 
 
 # -- class weighting -----------------------------------------------------------
@@ -266,7 +271,6 @@ def train_model(
         vec = params.to_vector()
         step = _make_optimizer(optimizer_name, vec.size)
         prev_val = None
-        stopped = False
         for _ in range(phase_epochs):
             epoch += 1
             started = time.perf_counter()
@@ -293,13 +297,9 @@ def train_model(
                 raise TrainingDiverged(f"validation loss diverged at epoch {epoch}", log)
             if prev_val is not None and prev_val - val_loss <= config.early_stop_delta:
                 log.stop_reason = "early_stop"
-                stopped = True
-                break
+                return params, log
             prev_val = val_loss
-        if stopped:
-            break
-    if not log.stop_reason:
-        log.stop_reason = "max_epochs"
+    log.stop_reason = "max_epochs"
     return params, log
 
 

@@ -382,6 +382,11 @@ _BAD_GENERATOR_SETTINGS = [
     ("phi=-1.5", "phi must be in (-1, 1), got -1.5"),
     ("visits_min=1.5", "visits_min='1.5' is not a valid int"),
     ("flux=1", "unknown config key 'flux'"),
+    ("visits_min=0", "1 <= visits_min <= visits_max, got 0 and 10"),
+    ("visits_min=11", "1 <= visits_min <= visits_max, got 11 and 10"),
+    ("miss_bp=2", "miss_bp must be in [0, 1], got 2.0"),
+    ("hi_prob=-0.1", "hi_prob must be in [0, 1], got -0.1"),
+    ("deceased_rate=0.95", "last_gap_rate sum to 1.06, more than 1"),
 ]
 
 
@@ -451,6 +456,14 @@ def test_short_rows_and_non_finite_readings_are_row_errors(pipeline, tmp_path, c
     assert read_json(out / "manifest.json")["config"]["row_errors"] == 3
 
 
+def test_fiscal_year_start_outside_the_months_is_a_usage_error(pipeline, tmp_path, capsys):
+    assert main(["cohort", "--data", str(pipeline["data"]), "--out", str(tmp_path / "out"),
+                 "--fiscal-year-start", "13"]) == 1
+    assert capsys.readouterr().err == (
+        "error: cohort: fiscal year start month must be in 1..12, got 13\n"
+    )
+
+
 def test_malformed_fractions_are_a_usage_error(pipeline, tmp_path, capsys):
     assert main(["cohort", "--data", str(pipeline["data"]),
                  "--out", str(tmp_path / "out"), "--fractions", "0.5,0.5"]) == 1
@@ -516,6 +529,51 @@ def test_bad_label_or_final_is_a_data_error(pipeline, tmp_path, capsys, key, val
     err = capsys.readouterr().err
     assert err.startswith("error: featurize: patient ") and err.count("\n") == 1
     assert f": {key} {value} is not " in err
+
+
+def _first_train_patient(data) -> str:
+    return next(p for p, entry in data["patients"].items() if entry["split"] == "train")
+
+
+def _damage_encounter(key, value=None):
+    """Set `key` of a train patient's first encounter, or delete it."""
+    def damage(data):
+        encounter = data["patients"][_first_train_patient(data)]["encounters"][0]
+        if value is None:
+            del encounter[key]
+        else:
+            encounter[key] = value
+    return damage
+
+
+def _drop_sample_patient(data):
+    del data["samples"][0]["patient"]
+
+
+_DAMAGED_SAMPLES = [
+    pytest.param(lambda d: d.update(patients=[]), "samples file patients is not an object",
+                 id="patients-list"),
+    pytest.param(lambda d: d.update(samples={}), "samples file samples is not a list",
+                 id="samples-object"),
+    pytest.param(_drop_sample_patient, "is not an object with patient, target_index",
+                 id="sample-without-patient"),
+    pytest.param(_damage_encounter("date"), "encounter lacks date", id="encounter-without-date"),
+    pytest.param(_damage_encounter("date", "2020-13-01"),
+                 "encounter date '2020-13-01' is not an ISO date", id="month-13"),
+    pytest.param(_damage_encounter("systolic", "high"),
+                 "encounter systolic 'high' is not a number or null", id="systolic-text"),
+]
+
+
+@pytest.mark.parametrize(("damage", "message"), _DAMAGED_SAMPLES)
+def test_damaged_samples_file_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
+    assert _featurize_damaged_samples(pipeline, tmp_path, damage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: featurize: ") and err.count("\n") == 1
+    assert message in err
+    if message.startswith("encounter"):
+        patient = _first_train_patient(read_json(pipeline["cohort"] / "samples.json"))
+        assert err == f"error: featurize: patient {patient}: {message}\n"
 
 
 def test_unknown_split_is_a_data_error(pipeline, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Labeling, exclusion cascade, sample construction, and splits."""
 
+import copy
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htnrisk.cohort import (
     BpStatus,
@@ -23,6 +26,7 @@ from htnrisk.cohort import (
     write_exclusion_report,
 )
 from htnrisk.ehr_core import DataError, merge_patient_timeline, parse_table
+from htnrisk.featurize import featurize_lr, featurize_sequences, fit_schema
 
 FIXTURE = Path(__file__).parent / "data" / "cohort_fixture"
 
@@ -126,6 +130,12 @@ def test_fiscal_year_start_shifts_the_rule(make_encounter):
     _, october_tally = apply_cohort_exclusions({"p1": visits}, fiscal_year_start=10)
     assert calendar_tally["records_per_year"] == 1
     assert october_tally["records_per_year"] == 0
+
+
+@pytest.mark.parametrize("month", [13, 0, -4])
+def test_fiscal_year_start_must_be_a_month(make_encounter, month):
+    with pytest.raises(ValueError, match=f"must be in 1..12, got {month}"):
+        apply_cohort_exclusions({"p1": [make_encounter(when=date(2023, 1, 1))]}, month)
 
 
 def test_no_vitals_rule_counts_bp_as_vitals(make_timeline):
@@ -336,3 +346,54 @@ def test_exclusion_rules_tuple_is_the_cascade_order():
         "no_vitals",
         "last_gap_90d",
     )
+
+
+# -- samples file loader contract -----------------------------------------------------
+
+def _json_nodes(node, path=()):
+    """The path of every node of a JSON tree, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_nodes(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            type(None): "null", list: "array", dict: "object"}[type(value)]
+
+
+_DELETE = object()
+_REPLACEMENTS = (None, 0, "x", [], {}, True)
+_CLEAN_SAMPLES = cohort_to_dict(_load_fixture_cohort()[0])
+_CLEAN_SCHEMA = fit_schema(cohort_from_dict(_CLEAN_SAMPLES).samples_in("train"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_samples_load_and_featurize_or_raise_data_error_property(data):
+    # One node at any depth is deleted, if it is an object key, or replaced
+    # by a value of another JSON type. Loading the file and featurizing its
+    # samples with the clean schema then either works or is a DataError.
+    damaged = copy.deepcopy(_CLEAN_SAMPLES)
+    path = data.draw(st.sampled_from(list(_json_nodes(damaged))))
+    parent = damaged
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else damaged
+    damages = [v for v in _REPLACEMENTS if _json_type(v) != _json_type(node)]
+    if path and isinstance(parent, dict):
+        damages.append(_DELETE)
+    damage = data.draw(st.sampled_from(damages))
+    if not path:
+        damaged = damage
+    elif damage is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(damage)
+    try:
+        cohort = cohort_from_dict(damaged)
+        featurize_sequences(cohort.samples, _CLEAN_SCHEMA)
+        featurize_lr(cohort.samples, _CLEAN_SCHEMA)
+    except DataError:
+        pass

@@ -179,7 +179,7 @@ def test_treatment_lowers_next_visit_systolic():
 
 
 def test_deceased_role_flags_only_the_last_visit():
-    config = GeneratorConfig(n_patients=12, seed=4, deceased_rate=1.0)
+    config = GeneratorConfig(n_patients=12, seed=4, **dict(NO_ROLES, deceased_rate=1.0))
     for stream in _by_patient(generate_cohort(config)).values():
         assert [enc.deceased for enc in stream] == [False] * (len(stream) - 1) + [True]
 

@@ -200,6 +200,8 @@ def test_config_validation():
         TrainConfig(model_kind="lr", learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(model_kind="lstm", dropout_rate=1.0)
+    with pytest.raises(ValueError, match="hidden_size must be at least 1, got 0"):
+        TrainConfig(model_kind="lstm", hidden_size=0)
 
 
 def test_config_from_file(tmp_path):
@@ -279,6 +281,16 @@ def test_early_stop_fires_on_second_epoch_when_delta_is_huge(rng):
     _, log = train_model(config, (X, y), (X, y))
     assert log.stop_reason == "early_stop"
     assert len(log.epochs) == 2  # needs one previous loss to compare against
+
+
+def test_early_stop_in_the_first_phase_skips_the_second(rng):
+    X, y = _separable(rng, n=100)
+    config = TrainConfig(
+        model_kind="lr", max_epochs=50, early_stop_delta=1e9, seed=0, two_phase_adam=True
+    )
+    _, log = train_model(config, (X, y), (X, y))
+    assert log.stop_reason == "early_stop"
+    assert len(log.epochs) == 2
 
 
 def test_max_epochs_cap_is_respected(rng):
