@@ -29,9 +29,17 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; a truncated or malformed one is a DataError."""
+    """Parse a JSON file; a truncated or malformed one is a DataError.
+
+    So is one holding NaN, Infinity or -Infinity: Python's json reads
+    those tokens, but `write_json` never writes them.
+    """
+
+    def reject(token):
+        raise DataError(f"{path}: not valid JSON: {token} is not a number")
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"{path}: not valid JSON: {err}") from None
 

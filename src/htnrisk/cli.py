@@ -21,6 +21,8 @@ from .cohort import (
     DEFAULT_SPLIT_FRACTIONS,
     HORIZON_DAYS,
     SPLIT_NAMES,
+    check_fiscal_year_start,
+    check_split_fractions,
     cohort_from_dict,
     cohort_to_dict,
     select_cohort,
@@ -102,6 +104,9 @@ def cmd_generate(args) -> int:
 # -- cohort ---------------------------------------------------------------------
 
 def cmd_cohort(args) -> int:
+    fractions = tuple(float(f) for f in args.fractions.split(","))
+    check_split_fractions(fractions)
+    check_fiscal_year_start(args.fiscal_year_start)
     data_dir = Path(args.data)
     events = {}
     row_errors = []
@@ -112,9 +117,6 @@ def cmd_cohort(args) -> int:
     timelines, merge_stats = merge_patient_timeline(
         events["encounters"], events["medications"], events["labs"], events["diagnoses"]
     )
-    fractions = tuple(float(f) for f in args.fractions.split(","))
-    if len(fractions) != 3:
-        raise ValueError(f"expected 3 comma-separated fractions, got {args.fractions!r}")
     cohort = select_cohort(
         timelines,
         seed=args.seed,
@@ -215,8 +217,6 @@ def cmd_train(args) -> int:
         train_model,
     )
 
-    cohort = _load_cohort(args.samples, "train", "validation")
-    schema = schema_from_dict(read_json(args.schema))
     overrides = {"model_kind": args.model}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -226,6 +226,8 @@ def cmd_train(args) -> int:
         config = config_from_file(args.config, overrides)
     else:
         config = replace(default_config(args.model), **overrides)
+    cohort = _load_cohort(args.samples, "train", "validation")
+    schema = schema_from_dict(read_json(args.schema))
     train_data, val_data = (
         model_inputs(config.model_kind, cohort.samples_in(split), schema)
         for split in ("train", "validation")
@@ -288,24 +290,21 @@ def cmd_evaluate(args) -> int:
     baseline_scores = np.array([score for _, score in baseline_pairs])
     groups = [s.sex for s in samples]
 
-    report = {
-        "model_kind": kind,
-        "split": args.split,
-        "n": len(samples),
-        "model": evaluate_scores(y, scores, threshold=args.threshold, groups=groups),
-        "baseline": evaluate_scores(y, baseline_scores, threshold=0.5, groups=groups),
-    }
+    report = {"model_kind": kind, "split": args.split, "n": len(samples)}
     out = _out_dir(args)
+    outputs = {}
+    for name, section_scores, threshold in (
+        ("model", scores, args.threshold),
+        ("baseline", baseline_scores, 0.5),
+    ):
+        report[name] = evaluate_scores(y, section_scores, threshold=threshold, groups=groups)
+        if "auroc" in report[name]:
+            roc_path = out / f"roc_{name}.csv"
+            roc_curve(y, section_scores).to_csv(roc_path)
+            outputs[f"roc_{name}"] = roc_path
     report_path = out / "report.json"
     write_json(report_path, report)
-    outputs = {"report": report_path}
-    if len(set(y.tolist())) == 2:
-        model_roc = out / "roc_model.csv"
-        baseline_roc = out / "roc_baseline.csv"
-        roc_curve(y, scores).to_csv(model_roc)
-        roc_curve(y, baseline_scores).to_csv(baseline_roc)
-        outputs["roc_model"] = model_roc
-        outputs["roc_baseline"] = baseline_roc
+    outputs["report"] = report_path
     write_manifest(
         out,
         "evaluate",
@@ -340,6 +339,8 @@ def cmd_attribute(args) -> int:
 
     if args.top <= 0:
         raise ValueError("--top must be positive")
+    if args.steps <= 0:
+        raise ValueError("--steps must be positive")
     kind, params, schema, _training = load_model(args.model)
     out = _out_dir(args)
     outputs = {}

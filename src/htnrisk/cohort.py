@@ -109,6 +109,12 @@ def _exclusion_rule(timeline: list[EncounterRecord], fiscal_year_start: int) -> 
     return None
 
 
+def check_fiscal_year_start(month: int) -> None:
+    """A fiscal year starts in a month, 1..12; anything else is a ValueError."""
+    if not 1 <= month <= 12:
+        raise ValueError(f"fiscal year start month must be in 1..12, got {month}")
+
+
 def apply_cohort_exclusions(
     timelines: dict[PatientId, list[EncounterRecord]],
     fiscal_year_start: int = 1,
@@ -119,8 +125,7 @@ def apply_cohort_exclusions(
     the number of patients it removed (each patient counted once, under
     the first matching rule). `fiscal_year_start` is a month, 1..12.
     """
-    if not 1 <= fiscal_year_start <= 12:
-        raise ValueError(f"fiscal year start month must be in 1..12, got {fiscal_year_start}")
+    check_fiscal_year_start(fiscal_year_start)
     included: dict[PatientId, list[EncounterRecord]] = {}
     tally = {rule: 0 for rule in EXCLUSION_RULES}
     for patient, timeline in timelines.items():
@@ -194,6 +199,16 @@ def build_samples(
     return samples
 
 
+def check_split_fractions(fractions) -> None:
+    """One non-negative fraction per split, summing to 1; else a ValueError."""
+    if len(fractions) != len(SPLIT_NAMES):
+        raise ValueError(
+            f"expected {len(SPLIT_NAMES)} comma-separated fractions, got {len(fractions)}"
+        )
+    if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):  # NaN fails
+        raise ValueError(f"fractions must be non-negative and sum to 1, got {fractions}")
+
+
 def split_patients(
     patients: list[PatientId],
     fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS,
@@ -205,10 +220,7 @@ def split_patients(
     declaration order. Assignment shuffles the sorted patient list with a
     seeded generator, so the same call always yields the same mapping.
     """
-    if len(fractions) != len(SPLIT_NAMES):
-        raise ValueError(f"expected {len(SPLIT_NAMES)} fractions, got {len(fractions)}")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be non-negative and sum to 1, got {fractions}")
+    check_split_fractions(fractions)
     if not patients:
         raise DataError("empty cohort: no patients to split")
     ordered = sorted(patients)

@@ -16,6 +16,7 @@ import numpy as np
 from .artifacts import format_number, write_csv
 from .cohort import BpStatus, CohortSample, label_bp_status
 from .ehr_core import DataError
+from .nnet import NumericalError
 
 
 def carry_forward_baseline(sample: CohortSample) -> tuple[int, float]:
@@ -84,86 +85,76 @@ class RocCurve:
 
 
 def roc_curve(labels, scores) -> RocCurve:
-    """ROC points over descending unique thresholds, tie groups merged."""
+    """ROC points over descending unique thresholds, tie groups merged.
+
+    One stable sort by descending score; a tie group ends wherever the
+    next sorted score differs, and the running class counts at those ends
+    are the points. A NaN score has no place in the order, so it is a
+    NumericalError; infinite scores order like any other.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     n_pos = float(np.sum(labels == 1))
     n_neg = float(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs both classes present")
+    if np.isnan(scores).any():
+        raise NumericalError("ROC needs scores that are not NaN")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    points = [(0.0, 0.0)]
-    thresholds = [float("inf")]
-    tp = fp = 0.0
-    i = 0
-    n = len(sorted_scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += float(np.sum(sorted_labels[i:j] == 1))
-        fp += float(np.sum(sorted_labels[i:j] == 0))
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(sorted_scores[i]))
-        i = j
-    return RocCurve(points=points, thresholds=thresholds)
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    fpr = np.cumsum(sorted_labels == 0)[ends] / n_neg
+    tpr = np.cumsum(sorted_labels == 1)[ends] / n_pos
+    return RocCurve(
+        points=[(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist())),
+        thresholds=[float("inf")] + sorted_scores[ends].tolist(),
+    )
 
 
 def auroc(labels, scores) -> float:
     """Trapezoidal area under the ROC curve.
 
     Identical to the Mann-Whitney statistic: the probability a random
-    positive outscores a random negative, ties counting one half.
+    positive outscores a random negative, ties counting one half. The
+    trapezoids are added left to right: cumsum keeps that order where a
+    pairwise np.sum would not, so the area is the float a running total
+    gives.
     """
-    curve = roc_curve(labels, scores)
-    area = 0.0
-    for (fpr0, tpr0), (fpr1, tpr1) in zip(curve.points, curve.points[1:]):
-        area += (fpr1 - fpr0) * (tpr0 + tpr1) / 2.0
-    return area
+    fpr, tpr = np.array(roc_curve(labels, scores).points).T
+    return float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
 
 
-def grouped_report(labels, predictions, scores, groups=None) -> dict:
-    """Metrics overall plus per-group sub-reports (AUROC on the total only).
-
-    A group whose labels are single-class gets its metrics without AUROC
-    and a `single_class` flag; the same guard applies to the total.
-    """
-    labels = np.asarray(labels)
-    predictions = np.asarray(predictions)
-    scores = np.asarray(scores, dtype=np.float64)
-    report = _basic_report(labels, predictions, scores, with_auroc=True)
-    if groups is not None:
-        groups = np.asarray(groups)
-        report["groups"] = {}
-        for value in sorted(set(groups.tolist())):
-            member = groups == value
-            report["groups"][str(value)] = _basic_report(
-                labels[member], predictions[member], scores[member], with_auroc=False
-            )
-    return report
-
-
-def _basic_report(labels, predictions, scores, with_auroc: bool) -> dict:
+def _counts(labels, predictions) -> dict:
+    """n, confusion and metrics of one subset, flagged `single_class`
+    when its labels are."""
     tp, fp, tn, fn = confusion(labels, predictions)
     report = {
         "n": int(labels.size),
         "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
         "metrics": precision_recall_f1(tp, fp, tn, fn),
     }
-    single_class = len(set(np.asarray(labels).tolist())) < 2
-    if single_class:
+    if len(set(labels.tolist())) < 2:
         report["single_class"] = True
-    elif with_auroc:
-        report["auroc"] = auroc(labels, scores)
     return report
 
 
 def evaluate_scores(labels, scores, threshold: float = 0.5, groups=None) -> dict:
-    """Full report from continuous scores: threshold, then group metrics."""
+    """Report from continuous scores cut at `threshold`: counts and
+    metrics overall and per group, and AUROC on the total unless its
+    labels are single-class. Groups never get an AUROC.
+    """
+    labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     predictions = (scores >= threshold).astype(int)
-    report = grouped_report(labels, predictions, scores, groups)
+    report = _counts(labels, predictions)
+    if "single_class" not in report:
+        report["auroc"] = auroc(labels, scores)
+    if groups is not None:
+        groups = np.asarray(groups)
+        report["groups"] = {
+            str(value): _counts(labels[groups == value], predictions[groups == value])
+            for value in sorted(set(groups.tolist()))
+        }
     report["threshold"] = threshold
     return report

@@ -17,6 +17,7 @@ from htnrisk.artifacts import (
     write_json,
     write_manifest,
 )
+from htnrisk.ehr_core import DataError
 
 
 def test_canonical_json_sorts_keys_and_strips_whitespace():
@@ -40,6 +41,17 @@ def test_write_json_round_trips(tmp_path):
     write_json(path, obj)
     assert read_json(path) == obj
     assert path.read_bytes().endswith(b"}\n")
+
+
+@pytest.mark.parametrize(
+    ("text", "token"),
+    [("[NaN]", "NaN"), ('{"a": Infinity}', "Infinity"), ("[-Infinity]", "-Infinity")],
+)
+def test_read_json_rejects_the_non_finite_tokens_write_json_never_writes(tmp_path, text, token):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"not valid JSON: {token} is not a number"):
+        read_json(path)
 
 
 def test_derive_seed_matches_the_documented_recipe():

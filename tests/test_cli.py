@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, reruns."""
 
 import gc
+import json
 import multiprocessing
 import os
 import shutil
@@ -744,6 +745,61 @@ def test_nonpositive_top_is_a_usage_error(pipeline, tmp_path, capsys):
     assert main(["attribute", "--model", str(pipeline["lr"] / "model.json"),
                  "--top", "0", "--out", str(tmp_path / "out")]) == 1
     assert "error: attribute: --top must be positive" in capsys.readouterr().err
+
+
+def _model_with_a_nan_weight(pipeline, tmp_path, kind):
+    model = read_json(pipeline[kind] / "model.json")
+    if kind == "lr":
+        model["weights"]["w"][0] = float("nan")
+    else:
+        model["weights"]["W_i"][0][0] = float("nan")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")  # json.dumps writes NaN; write_json refuses
+    return path
+
+
+@pytest.mark.parametrize(("stage", "kind"), [("evaluate", "lr"), ("attribute", "lr"),
+                                             ("evaluate", "lstm")])
+def test_nan_in_a_model_file_is_a_data_error(pipeline, tmp_path, capsys, stage, kind):
+    path = _model_with_a_nan_weight(pipeline, tmp_path, kind)
+    assert main([stage, "--model", str(path),
+                 "--samples", str(pipeline["cohort"] / "samples.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {stage}: {path}: not valid JSON: NaN is not a number\n"
+    )
+
+
+# A flag no stage may accept, given with an input that does not exist
+# (MISSING) or, for the LR model that attribute reads no samples for, a
+# real one (LR_MODEL).
+_BAD_FLAGS = [
+    ("cohort-fiscal-year-start", ["cohort", "--data", "MISSING", "--fiscal-year-start", "13"],
+     "fiscal year start month must be in 1..12, got 13"),
+    ("cohort-two-fractions", ["cohort", "--data", "MISSING", "--fractions", "0.5,0.5"],
+     "expected 3 comma-separated fractions, got 2"),
+    ("cohort-nan-fraction", ["cohort", "--data", "MISSING", "--fractions", "nan,0.5,0.5"],
+     "fractions must be non-negative and sum to 1, got (nan, 0.5, 0.5)"),
+    ("train-zero-epochs", ["train", "--samples", "MISSING", "--schema", "MISSING",
+                           "--model", "lr", "--epochs", "0"],
+     "learning_rate, batch_size, and max_epochs must be positive"),
+    ("attribute-zero-steps", ["attribute", "--model", "MISSING", "--steps", "0"],
+     "--steps must be positive"),
+    ("attribute-lr-zero-steps", ["attribute", "--model", "LR_MODEL", "--steps", "0"],
+     "--steps must be positive"),
+]
+
+
+@pytest.mark.parametrize(("argv", "message"), [case[1:] for case in _BAD_FLAGS],
+                         ids=[case[0] for case in _BAD_FLAGS])
+def test_bad_flags_are_usage_errors_before_any_input_is_read(
+    pipeline, tmp_path, capsys, argv, message
+):
+    paths = {"MISSING": str(tmp_path / "missing"), "LR_MODEL": str(pipeline["lr"] / "model.json")}
+    out = tmp_path / "out"
+    assert main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {argv[0]}: {message}\n"
+    assert not out.exists()
 
 
 def test_stage_summary_goes_to_stdout(tmp_path, capsys):

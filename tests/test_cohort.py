@@ -1,13 +1,16 @@
 """Labeling, exclusion cascade, sample construction, and splits."""
 
 import copy
+import random
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from htnrisk.artifacts import canonical_json
 from htnrisk.cohort import (
     BpStatus,
     Cohort,
@@ -25,7 +28,7 @@ from htnrisk.cohort import (
     split_patients,
     write_exclusion_report,
 )
-from htnrisk.ehr_core import DataError, merge_patient_timeline, parse_table
+from htnrisk.ehr_core import TABLE_COLUMNS, DataError, merge_patient_timeline, parse_table
 from htnrisk.featurize import featurize_lr, featurize_sequences, fit_schema
 
 FIXTURE = Path(__file__).parent / "data" / "cohort_fixture"
@@ -234,11 +237,11 @@ def test_split_rejects_bad_fractions():
 
 # -- end-to-end over the fixture ---------------------------------------------------
 
-def _load_fixture_cohort(seed=0):
+def _load_fixture_cohort(seed=0, data_dir=FIXTURE):
     events = {}
     all_errors = []
-    for kind in ("encounters", "medications", "labs", "diagnoses"):
-        rows, errors = parse_table(FIXTURE / f"{kind}.csv", kind)
+    for kind in TABLE_COLUMNS:
+        rows, errors = parse_table(data_dir / f"{kind}.csv", kind)
         events[kind] = rows
         all_errors.extend(errors)
     timelines, stats = merge_patient_timeline(
@@ -287,6 +290,64 @@ def test_fixture_order_events_attached():
     assert "CBC" in by_date[date(2023, 3, 11)].lab_panels
     # between-visit medication lands on the most recent prior encounter
     assert "CalciumChannelBlocker" in by_date[date(2023, 5, 10)].med_categories
+
+
+def _cohort_outputs(data_dir):
+    """samples.json and exclusions.csv as `cohort` writes them, and the
+    row errors without their (file-position) line numbers."""
+    cohort, errors, _ = _load_fixture_cohort(data_dir=data_dir)
+    report = data_dir / "exclusions.csv"
+    write_exclusion_report(cohort.exclusion_tally, cohort.total_patients, report)
+    return (
+        canonical_json(cohort_to_dict(cohort)),
+        report.read_bytes(),
+        Counter((e.table, e.message) for e in errors),
+    )
+
+
+@pytest.fixture(scope="module")
+def generated_tables(tmp_path_factory):
+    """The directory of a 300-patient `generate --seed 5` cohort's four
+    source tables, with a short row and a NaN reading appended to its
+    encounters, a directory for shuffled copies, and the cohort outputs
+    of the unshuffled tables."""
+    from htnrisk.synth import GeneratorConfig, write_cohort
+
+    root = tmp_path_factory.mktemp("row_order")
+    write_cohort(GeneratorConfig(seed=5, n_patients=300), root / "data")
+    encounters = root / "data" / "encounters.csv"
+    _, first, *_ = encounters.read_text(encoding="utf-8").splitlines(True)
+    patient, day, _systolic, rest = first.split(",", 3)
+    with encounters.open("a", encoding="utf-8") as handle:
+        handle.write(f"{patient},{day}\n{patient},{day},nan,{rest}")
+    (root / "shuffled").mkdir()
+    return root / "data", root / "shuffled", _cohort_outputs(root / "data")
+
+
+# A smaller shuffle seed is no simpler a shuffle, so failures are not shrunk.
+@settings(max_examples=8, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=4))
+def test_cohort_does_not_depend_on_the_row_order_of_its_tables_property(
+    generated_tables, seeds
+):
+    """Shuffling the rows within each source table, header first, leaves
+    samples.json and the exclusion report byte-identical and the row
+    errors equal as a multiset.
+
+    Scope: `generate` never repeats a visit date within a patient. Two
+    visits of one patient on one date would keep their file order
+    through the merge's stable sort, so a shuffle could reorder them.
+    Likewise the first principal-diagnosis row of a visit sets its code
+    only when the encounter row left it blank, which `generate` never
+    does.
+    """
+    data_dir, shuffled, expected = generated_tables
+    assert sum(expected[2].values()) == 2  # the two appended rows
+    for kind, seed in zip(TABLE_COLUMNS, seeds):
+        header, *rows = (data_dir / f"{kind}.csv").read_text(encoding="utf-8").splitlines(True)
+        random.Random(seed).shuffle(rows)
+        (shuffled / f"{kind}.csv").write_text(header + "".join(rows), encoding="utf-8")
+    assert _cohort_outputs(shuffled) == expected
 
 
 def test_select_cohort_empty_raises(make_encounter):

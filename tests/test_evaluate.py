@@ -12,10 +12,10 @@ from htnrisk.evaluate import (
     carry_forward_baseline,
     confusion,
     evaluate_scores,
-    grouped_report,
     precision_recall_f1,
     roc_curve,
 )
+from htnrisk.nnet import NumericalError
 
 
 def _mann_whitney(labels, scores):
@@ -138,6 +138,59 @@ def test_roc_single_class_raises():
         roc_curve([1, 1, 1], [0.2, 0.5, 0.9])
 
 
+def test_roc_and_auroc_reject_a_nan_score():
+    # NaN equals nothing, so it has no place in the descending sweep.
+    with pytest.raises(NumericalError, match="NaN"):
+        roc_curve([0, 1, 1], [0.2, float("nan"), 0.9])
+    with pytest.raises(NumericalError, match="NaN"):
+        auroc([0, 1, 1], [0.2, float("nan"), 0.9])
+
+
+def test_roc_orders_infinite_scores():
+    curve = roc_curve([0, 1, 0, 1], [-np.inf, np.inf, 0.5, np.inf])
+    assert curve.thresholds == [np.inf, np.inf, 0.5, -np.inf]
+    assert curve.points == [(0.0, 0.0), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+    assert auroc([0, 1, 0, 1], [-np.inf, np.inf, 0.5, np.inf]) == 1.0
+
+
+def _brute_force_roc(labels, scores):
+    """One point per distinct score t, descending: the shares of each
+    class scoring >= t, after the (0, 0) point at +inf."""
+    pos = [s for y, s in zip(labels, scores) if y == 1]
+    neg = [s for y, s in zip(labels, scores) if y == 0]
+    thresholds = [float("inf")] + sorted(set(scores), reverse=True)
+    points = [(0.0, 0.0)] + [
+        (sum(s >= t for s in neg) / len(neg), sum(s >= t for s in pos) / len(pos))
+        for t in thresholds[1:]
+    ]
+    return points, thresholds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 1), min_size=2, max_size=40)
+    .filter(lambda labels: len(set(labels)) == 2)
+    .flatmap(
+        lambda labels: st.tuples(
+            st.just(labels),
+            st.one_of(
+                # a five-value alphabet forces ties; free floats mostly do not
+                st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                         min_size=len(labels), max_size=len(labels)),
+                st.lists(st.floats(allow_nan=False, width=64),
+                         min_size=len(labels), max_size=len(labels)),
+            ),
+        )
+    )
+)
+def test_roc_equals_a_brute_force_sweep_property(case):
+    labels, scores = case
+    points, thresholds = _brute_force_roc(labels, scores)
+    curve = roc_curve(labels, scores)
+    assert curve.points == points
+    assert curve.thresholds == thresholds
+
+
 def test_roc_csv_export(tmp_path):
     curve = roc_curve([0, 1], [0.2, 0.9])
     path = tmp_path / "roc.csv"
@@ -205,7 +258,7 @@ def test_grouped_report_structure(rng):
     labels = np.array([1, 0, 1, 0, 1, 0])
     scores = np.array([0.9, 0.2, 0.7, 0.6, 0.3, 0.1])
     groups = ["female", "female", "female", "male", "male", "male"]
-    report = grouped_report(labels, (scores >= 0.5).astype(int), scores, groups)
+    report = evaluate_scores(labels, scores, threshold=0.5, groups=groups)
     assert report["auroc"] == pytest.approx(auroc(labels, scores))
     assert set(report["groups"]) == {"female", "male"}
     for sub in report["groups"].values():
@@ -217,7 +270,7 @@ def test_grouped_report_structure(rng):
 def test_grouped_report_flags_single_class_total():
     labels = np.ones(4, dtype=int)
     scores = np.array([0.6, 0.7, 0.8, 0.9])
-    report = grouped_report(labels, np.ones(4, dtype=int), scores)
+    report = evaluate_scores(labels, scores, threshold=0.5)
     assert report["single_class"] is True
     assert "auroc" not in report
 
