@@ -104,7 +104,13 @@ def cmd_generate(args) -> int:
 # -- cohort ---------------------------------------------------------------------
 
 def cmd_cohort(args) -> int:
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    try:
+        fractions = tuple(float(f) for f in args.fractions.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--fractions must be three comma-separated numbers such as 0.7,0.15,0.15, "
+            f"got {args.fractions!r}"
+        ) from None
     check_split_fractions(fractions)
     check_fiscal_year_start(args.fiscal_year_start)
     data_dir = Path(args.data)

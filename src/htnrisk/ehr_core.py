@@ -447,6 +447,10 @@ def merge_patient_timeline(
             stats.dropped_labs += 1
         else:
             enc.lab_panels.add(lab.panel_name)
+    # A visit whose encounter row leaves the principal diagnosis blank
+    # takes the first principal row mapped to it by (date, code), so the
+    # answer does not depend on the order of diagnoses.csv.
+    principal: dict[int, tuple[tuple[date, str], EncounterRecord]] = {}
     for diag in diagnoses:
         enc = target(diag.patient, diag.date)
         if enc is None:
@@ -454,7 +458,11 @@ def merge_patient_timeline(
         else:
             enc.problems.add(diag.code)
             if diag.is_principal and enc.diagnosis_code is None:
-                enc.diagnosis_code = diag.code
+                key = (diag.date, diag.code)
+                if id(enc) not in principal or key < principal[id(enc)][0]:
+                    principal[id(enc)] = (key, enc)
+    for (_, code), enc in principal.values():
+        enc.diagnosis_code = code
     return timelines, stats
 
 

@@ -22,10 +22,10 @@ that to generate contiguous blocks of patients on all usable cores.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,8 @@ from .ehr_core import (
     format_rows,
     write_table,
 )
+from .parallel import block_ranges, run_blocks
+from .parallel import usable_cores as _usable_cores
 
 #: Lab panels with per-visit order probabilities; the first clears the
 #: 60% retention rule, the others exercise the drop path.
@@ -382,24 +384,10 @@ def generate_cohort(config: GeneratorConfig, patients: range | None = None) -> T
     return tables
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _blocks(n_patients: int) -> list[range]:
     """Contiguous patient blocks, one per usable core, none smaller than
-    MIN_BLOCK_PATIENTS; one block where processes cannot be forked."""
-    count = min(_usable_cores(), n_patients // MIN_BLOCK_PATIENTS)
-    if count > 1:
-        import multiprocessing  # only here: small cohorts never pay the import
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            count = 1
-    count = max(count, 1)
-    return [range(n_patients * j // count, n_patients * (j + 1) // count) for j in range(count)]
+    MIN_BLOCK_PATIENTS."""
+    return block_ranges(n_patients, _usable_cores(), MIN_BLOCK_PATIENTS)
 
 
 def _format_block(config: GeneratorConfig, patients: range) -> tuple[list[str], int]:
@@ -409,74 +397,26 @@ def _format_block(config: GeneratorConfig, patients: range) -> tuple[list[str], 
     return bodies, len(tables.encounters)
 
 
-def _send_block(sender, config: GeneratorConfig, patients: range) -> None:
-    """Body of a forked child: send the exception `_format_block` raised,
-    or its encounter count and then each body as UTF-8 bytes."""
-    try:
-        bodies, n_encounters = _format_block(config, patients)
-    except Exception as exc:
-        sender.send(exc)
-    else:
-        # One raw message per table, not one pickle of all four: that left
-        # the parent's peak RSS ~6 MB higher in the stages that follow.
-        sender.send(n_encounters)
-        for body in bodies:
-            sender.send_bytes(body.encode("utf-8"))
-    sender.close()
+def _send_block(sender, block: tuple[list[str], int]) -> None:
+    # One raw message per table, not one pickle of all four: that left
+    # the parent's peak RSS ~6 MB higher in the stages that follow.
+    bodies, n_encounters = block
+    sender.send_bytes(b"%d" % n_encounters)
+    for body in bodies:
+        sender.send_bytes(body.encode("utf-8"))
 
 
-def _receive_block(child, receiver, patients: range) -> tuple[list[str], int]:
-    try:
-        first = receiver.recv()
-        if not isinstance(first, Exception):
-            return [receiver.recv_bytes().decode("utf-8") for _ in TABLE_COLUMNS], first
-    except EOFError:
-        child.join()
-        raise ChildProcessError(
-            f"the process generating patients {patients.start}-{patients.stop - 1} "
-            f"exited with code {child.exitcode} before sending them"
-        ) from None
-    raise first
+def _receive_block(receiver, patients: range) -> tuple[list[str], int]:
+    n_encounters = int(receiver.recv_bytes())
+    return [receiver.recv_bytes().decode("utf-8") for _ in TABLE_COLUMNS], n_encounters
 
 
 def _run_blocks(config: GeneratorConfig, blocks: list[range]) -> list[tuple[list[str], int]]:
-    """`_format_block` of every block, in block order: the first in this
-    process, each other one in a forked child that sends its result back
-    through a pipe, read here in the main thread."""
-    if len(blocks) == 1:
-        return [_format_block(config, blocks[0])]
-    import multiprocessing
-
-    # fork, not spawn: a child starts with the program already imported.
-    # It only draws random numbers and formats text, so it takes none of
-    # the locks that other threads (BLAS) might hold at the fork.
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for patients in blocks[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_send_block, args=(sender, config, patients), daemon=True
-            )
-            children.append((child, receiver))
-            child.start()
-            sender.close()
-        results = [_format_block(config, blocks[0])]
-        for (child, receiver), patients in zip(children, blocks[1:]):
-            results.append(_receive_block(child, receiver, patients))
-        return results
-    except BaseException:
-        # The other blocks are no longer wanted: stop children still
-        # generating, and any blocked sending to a pipe about to close.
-        for child, _ in children:
-            if child.pid is not None:
-                child.terminate()
-        raise
-    finally:
-        for child, receiver in children:
-            receiver.close()
-            if child.pid is not None:
-                child.join()
+    """`_format_block` of every block, in block order, each one after the
+    first in a forked child (see `parallel.run_blocks`)."""
+    return run_blocks(
+        blocks, partial(_format_block, config), _send_block, _receive_block, "generating patients"
+    )
 
 
 def write_cohort(config: GeneratorConfig, out_dir) -> tuple[list[Path], int]:

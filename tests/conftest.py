@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import htnrisk.parallel as parallel
 from htnrisk.ehr_core import EncounterRecord
 
 
@@ -50,3 +51,17 @@ def make_timeline(make_encounter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads the BLAS thread count, set to 2 for the test and put back
+    after, so that a count left at a one-thread cap shows."""
+    control = parallel.blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    get, set_ = control
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

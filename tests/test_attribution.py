@@ -1,5 +1,6 @@
 """Integrated gradients: axioms, quadrature nodes, and rankings."""
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import htnrisk.attribution as attribution
 from htnrisk.attribution import (
     aggregate_sequence_attributions,
     completeness_gap,
@@ -180,6 +182,20 @@ def test_population_attributions_is_mean_of_per_sample_ig(rng):
     np.testing.assert_allclose(
         population_attributions(scorer, X, steps=32), expected, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_population_attributions_in_blocks_equals_the_serial_loop(monkeypatch, rng, cores):
+    monkeypatch.setattr(attribution, "usable_cores", lambda: cores)
+    monkeypatch.setattr(attribution, "MIN_BLOCK_SAMPLES", 2)
+    params = init_lstm_params(3, 4, np.random.default_rng(4))
+    scorer = lstm_scorer(params)
+    X = rng.normal(size=(7, 6, 3))
+    total = np.zeros((6, 3))
+    for x in X:
+        total += integrated_gradients(scorer, x, np.zeros((6, 3)), steps=32)
+    assert np.array_equal(population_attributions(scorer, X, steps=32), total / 7)
+    assert multiprocessing.active_children() == []
 
 
 def test_aggregate_sums_over_time():

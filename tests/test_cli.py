@@ -8,12 +8,15 @@ import shutil
 
 import pytest
 
+import htnrisk.attribution as attribution
 import htnrisk.cli as cli
+import htnrisk.parallel as parallel
 import htnrisk.synth as synth
 from htnrisk.artifacts import read_json, sha256_file, write_json
 from htnrisk.cli import build_parser, main
 from htnrisk.cohort import cohort_from_dict
 from htnrisk.ehr_core import DataError
+from htnrisk.nnet import NumericalError
 
 # Small LSTM so the pipeline fixture stays fast.
 LSTM_KV = "hidden_size=8\nlearning_rate=0.05\nmax_epochs=2\n"
@@ -354,6 +357,112 @@ def test_a_block_process_that_dies_is_a_data_error(tmp_path, monkeypatch, capsys
         "error: generate: the process generating patients 2-3 exited with code 7 "
         "before sending them\n"
     )
+    assert multiprocessing.active_children() == []
+
+
+# -- integrated gradients in sample blocks ---------------------------------------
+
+
+def _attribute_in_blocks(monkeypatch, cores):
+    """Make attribute use `cores` blocks for any split of at least that many
+    samples; returns the block count of each run, as it reaches run_blocks."""
+    monkeypatch.setattr(attribution, "usable_cores", lambda: cores)
+    monkeypatch.setattr(attribution, "MIN_BLOCK_SAMPLES", 1)
+    block_counts = []
+
+    def counted(blocks, *rest):
+        block_counts.append(len(blocks))
+        return parallel.run_blocks(blocks, *rest)
+
+    monkeypatch.setattr(attribution, "run_blocks", counted)
+    return block_counts
+
+
+def _attribute_lstm(pipeline, out):
+    return main(["attribute", "--model", str(pipeline["lstm"] / "model.json"),
+                 "--samples", str(pipeline["cohort"] / "samples.json"),
+                 "--steps", "16", "--top", "5", "--out", str(out)])
+
+
+def _attribute_with_cores(pipeline, tmp_path, monkeypatch, name, cores):
+    """The files of one LSTM attribute run in `cores` blocks, and the block
+    counts it used. Each run writes "attr" in its own directory, so the
+    manifests' output paths agree too."""
+    run_dir = tmp_path / name
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    block_counts = _attribute_in_blocks(monkeypatch, cores)
+    assert _attribute_lstm(pipeline, "attr") == 0
+    return {path.name: path.read_bytes() for path in (run_dir / "attr").iterdir()}, block_counts
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_attributions_do_not_depend_on_the_block_count(
+    pipeline, tmp_path, monkeypatch, capsys, blas_threads, cores
+):
+    one_block, counts = _attribute_with_cores(pipeline, tmp_path, monkeypatch, "one", 1)
+    assert sorted(one_block) == ["attributions.csv", "attributions_agg.csv", "manifest.json"]
+    assert counts == [1]
+    many, counts = _attribute_with_cores(pipeline, tmp_path, monkeypatch, "many", cores)
+    assert many == one_block
+    assert counts == [cores]
+    assert blas_threads() == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_attribute_uses_one_block_when_blas_threads_cannot_be_capped(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    one_block, _ = _attribute_with_cores(pipeline, tmp_path, monkeypatch, "one", 1)
+    monkeypatch.setattr(parallel, "blas_thread_control", lambda: None)
+    uncapped, counts = _attribute_with_cores(pipeline, tmp_path, monkeypatch, "uncapped", 3)
+    assert counts == [1]
+    assert uncapped == one_block
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("in_child", [False, True], ids=["block-0", "forked-block"])
+def test_a_numerical_error_in_any_sample_block_exits_3(
+    pipeline, tmp_path, monkeypatch, capsys, blas_threads, in_child
+):
+    _attribute_in_blocks(monkeypatch, cores=3)
+    parent = os.getpid()
+    input_gradients = attribution.lstm_input_gradients
+
+    def fail_in_one_process(params, points):
+        if (os.getpid() != parent) == in_child:
+            raise NumericalError("non-finite values in lstm activations at step 0")
+        return input_gradients(params, points)
+
+    monkeypatch.setattr(attribution, "lstm_input_gradients", fail_in_one_process)
+    assert _attribute_lstm(pipeline, tmp_path / "attr") == 3
+    assert capsys.readouterr().err == (
+        "error: attribute: non-finite values in lstm activations at step 0\n"
+    )
+    assert blas_threads() == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_a_sample_block_process_that_dies_is_a_data_error(
+    pipeline, tmp_path, monkeypatch, capsys, blas_threads
+):
+    _attribute_in_blocks(monkeypatch, cores=2)
+    parent = os.getpid()
+    input_gradients = attribution.lstm_input_gradients
+
+    def die_in_the_child(params, points):
+        if os.getpid() != parent:
+            os._exit(7)
+        return input_gradients(params, points)
+
+    monkeypatch.setattr(attribution, "lstm_input_gradients", die_in_the_child)
+    n = len(cli._evaluation_samples(pipeline["cohort"] / "samples.json", "test"))
+    assert _attribute_lstm(pipeline, tmp_path / "attr") == 2
+    assert capsys.readouterr().err == (
+        f"error: attribute: the process attributing samples {n // 2}-{n - 1} "
+        "exited with code 7 before sending them\n"
+    )
+    assert blas_threads() == 2
     assert multiprocessing.active_children() == []
 
 
@@ -780,6 +889,8 @@ _BAD_FLAGS = [
      "expected 3 comma-separated fractions, got 2"),
     ("cohort-nan-fraction", ["cohort", "--data", "MISSING", "--fractions", "nan,0.5,0.5"],
      "fractions must be non-negative and sum to 1, got (nan, 0.5, 0.5)"),
+    ("cohort-non-numeric-fraction", ["cohort", "--data", "MISSING", "--fractions", "0.7,x,0.15"],
+     "--fractions must be three comma-separated numbers such as 0.7,0.15,0.15, got '0.7,x,0.15'"),
     ("train-zero-epochs", ["train", "--samples", "MISSING", "--schema", "MISSING",
                            "--model", "lr", "--epochs", "0"],
      "learning_rate, batch_size, and max_epochs must be positive"),

@@ -355,6 +355,21 @@ def test_merge_principal_diagnosis_fills_empty_code(make_encounter):
     assert timelines["p1"][0].diagnosis_code == "I10"
 
 
+def test_merge_principal_diagnosis_does_not_depend_on_row_order(make_encounter):
+    encounters = [make_encounter(when=_day(10), diagnosis_code=None)]
+    rows = [
+        DiagnosisEvent("p1", _day(10), "I10", is_principal=True),
+        DiagnosisEvent("p1", _day(10), "E78", is_principal=True),
+        DiagnosisEvent("p1", _day(8), "J45", is_principal=True),  # maps to no visit
+    ]
+    codes = set()
+    for diagnoses in (rows, rows[::-1]):
+        timelines, stats = merge_patient_timeline(encounters, [], [], diagnoses)
+        codes.add(timelines["p1"][0].diagnosis_code)
+        assert stats.dropped_diagnoses == 1
+    assert codes == {"E78"}
+
+
 def test_merge_principal_diagnosis_keeps_existing_code(make_encounter):
     encounters = [make_encounter(when=_day(10), diagnosis_code="E11")]
     diagnoses = [DiagnosisEvent("p1", _day(10), "I10", is_principal=True)]
