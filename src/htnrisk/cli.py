@@ -238,6 +238,7 @@ def cmd_train(args) -> int:
         model_inputs(config.model_kind, cohort.samples_in(split), schema)
         for split in ("train", "validation")
     )
+    del cohort  # its decoded encounters are not read again; free them before training
     out = _out_dir(args)
     outputs = {}
     log_path = out / "train_log.csv"

@@ -220,6 +220,43 @@ def _activate_gates(z: Matrix, hidden: int) -> None:
     logistic *= 0.5
 
 
+def _lstm_step(params: LstmParams, z: Matrix, t: int, h: Matrix, c: Matrix, out) -> None:
+    """Step t of the recurrence, in place.
+
+    z (n, 4H) holds x_t W on entry and the gate activations on exit; h and
+    c are h_{t-1} and c_{t-1}. c_t, tanh(c_t) and h_t are written into the
+    three (n, H) arrays of `out`, which may be c and h themselves.
+    """
+    if t > 0:  # h_0 = 0 adds nothing
+        z += h @ params.U
+    z += params.b
+    _activate_gates(z, params.hidden)
+    i, f, o, g = split_gates(z)
+    c_t, tc, h_t = out
+    np.multiply(f, c, out=c_t)
+    c_t += i * g
+    np.tanh(c_t, out=tc)
+    np.multiply(o, tc, out=h_t)
+    _require_finite(f"lstm activations at step {t}", c_t, h_t)
+
+
+def _batch(params: LstmParams, X: Matrix) -> Matrix:
+    """X as a float64 (n, T, F) batch; one (T, F) sequence is a batch of one."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 2:
+        X = X[None, :, :]
+    if X.shape[2] != params.n_features:
+        raise ValueError(f"expected {params.n_features} features, got {X.shape[2]}")
+    return X
+
+
+def _input_projection(params: LstmParams, X: Matrix) -> tuple[Matrix, Matrix]:
+    """(time-major X (T, n, F), x_t W of all T steps (T, n, 4H)) in one matmul."""
+    n, T, F = X.shape
+    X = np.ascontiguousarray(X.transpose(1, 0, 2))
+    return X, (X.reshape(T * n, F) @ params.W).reshape(T, n, 4 * params.hidden)
+
+
 def lstm_forward(
     params: LstmParams,
     X: Matrix,
@@ -227,7 +264,8 @@ def lstm_forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, LstmTape]:
-    """Run the recurrence over a batch (n, T, F) -> probabilities (n,).
+    """Run the recurrence over a batch (n, T, F) -> probabilities (n,),
+    keeping every step's activations for backward.
 
     The input projections of all T steps take one matmul; each step then
     adds its recurrent term and the bias to its slice and turns the slice
@@ -236,29 +274,15 @@ def lstm_forward(
     by 1/(1-rate) so the expected pre-dense activation matches the
     evaluation-mode forward.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2:
-        X = X[None, :, :]
-    n, T, F = X.shape
-    if F != params.n_features:
-        raise ValueError(f"expected {params.n_features} features, got {F}")
+    X = _batch(params, X)
+    n, T, _ = X.shape
     H = params.hidden
-    X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    gates = (X.reshape(T * n, F) @ params.W).reshape(T, n, 4 * H)
+    X, gates = _input_projection(params, X)
     c_s = np.empty((T, n, H)); tc_s = np.empty((T, n, H)); h_s = np.empty((T, n, H))
-    h = np.zeros((n, H)); c = np.zeros((n, H))
+    h = c = np.zeros((n, H))
     for t in range(T):
-        z = gates[t]
-        if t > 0:  # h_0 = 0 adds nothing
-            z += h @ params.U
-        z += params.b
-        _activate_gates(z, H)
-        i, f, o, g = split_gates(z)
-        c = np.multiply(f, c, out=c_s[t])
-        c += i * g
-        tc = np.tanh(c, out=tc_s[t])
-        h = np.multiply(o, tc, out=h_s[t])
-        _require_finite(f"lstm activations at step {t}", c, h)
+        _lstm_step(params, gates[t], t, h, c, (c_s[t], tc_s[t], h_s[t]))
+        c, h = c_s[t], h_s[t]
     if train_mode and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("dropout in train_mode requires an rng")
@@ -273,6 +297,50 @@ def lstm_forward(
         X=X, gates=gates, c=c_s, tanh_c=tc_s, h=h_s,
         mask=mask, h_drop=h_drop, logits=logits,
     )
+
+
+#: Rows per chunk of the tape-free inference forward (`lstm_logits`).
+CHUNK_ROWS = 256
+
+
+def _chunks(n: int) -> list[range]:
+    """Row ranges of CHUNK_ROWS rows; a 1-row remainder joins the chunk
+    before it, so no chunk has 1 row unless n = 1."""
+    starts = list(range(0, n, CHUNK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [range(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
+def _final_hidden(params: LstmParams, X: Matrix) -> Matrix:
+    """h_T (m, H) of a batch, through the steps of `lstm_forward`, but
+    overwriting one set of state arrays instead of keeping a tape."""
+    _, gates = _input_projection(params, X)
+    m, H = X.shape[0], params.hidden
+    h, c, tc = np.zeros((m, H)), np.zeros((m, H)), np.empty((m, H))
+    for t, z in enumerate(gates):
+        _lstm_step(params, z, t, h, c, (c, tc, h))
+    return h
+
+
+def lstm_logits(params: LstmParams, X: Matrix) -> np.ndarray:
+    """Evaluation-mode logits (n,) without a tape.
+
+    The recurrence runs over row chunks (see `_chunks`), so memory grows
+    with n only by the (n, H) final hidden states; the dense head then
+    runs once over all of them. The result is bitwise equal to
+    `lstm_forward(params, X)[1].logits`: with OpenBLAS each row of X W and
+    h U comes out the same in any batch of two rows or more, but a 1-row
+    h U takes the matrix-vector kernel, and a head run per chunk would
+    give a short last chunk other bits than the whole batch.
+    """
+    X = _batch(params, X)
+    h_last = np.empty((X.shape[0], params.hidden))
+    for rows in _chunks(X.shape[0]):
+        h_last[rows.start : rows.stop] = _final_hidden(params, X[rows.start : rows.stop])
+    logits = h_last @ params.dense_w + params.dense_b
+    _require_finite("lstm output", logits)
+    return logits
 
 
 def _bptt(params: LstmParams, tape: LstmTape, dlogits: np.ndarray) -> np.ndarray:
@@ -364,9 +432,8 @@ def lstm_loss_and_grads(
 
 
 def lstm_predict_proba(params: LstmParams, X: Matrix) -> np.ndarray:
-    """Evaluation-mode probabilities (dropout disabled)."""
-    p, _ = lstm_forward(params, X, dropout_rate=0.0, train_mode=False)
-    return p
+    """Evaluation-mode probabilities (dropout disabled), without a tape."""
+    return sigmoid(lstm_logits(params, X))
 
 
 def lstm_input_gradients(params: LstmParams, X: Matrix) -> tuple[np.ndarray, np.ndarray]:

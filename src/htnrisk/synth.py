@@ -41,8 +41,7 @@ from .ehr_core import (
     format_rows,
     write_table,
 )
-from .parallel import block_ranges, run_blocks
-from .parallel import usable_cores as _usable_cores
+from .parallel import block_ranges, run_blocks, usable_cores
 
 #: Lab panels with per-visit order probabilities; the first clears the
 #: 60% retention rule, the others exercise the drop path.
@@ -384,12 +383,6 @@ def generate_cohort(config: GeneratorConfig, patients: range | None = None) -> T
     return tables
 
 
-def _blocks(n_patients: int) -> list[range]:
-    """Contiguous patient blocks, one per usable core, none smaller than
-    MIN_BLOCK_PATIENTS."""
-    return block_ranges(n_patients, _usable_cores(), MIN_BLOCK_PATIENTS)
-
-
 def _format_block(config: GeneratorConfig, patients: range) -> tuple[list[str], int]:
     """The CSV bodies of `patients`, one per table, and their encounter count."""
     tables = generate_cohort(config, patients)
@@ -411,25 +404,22 @@ def _receive_block(receiver, patients: range) -> tuple[list[str], int]:
     return [receiver.recv_bytes().decode("utf-8") for _ in TABLE_COLUMNS], n_encounters
 
 
-def _run_blocks(config: GeneratorConfig, blocks: list[range]) -> list[tuple[list[str], int]]:
-    """`_format_block` of every block, in block order, each one after the
-    first in a forked child (see `parallel.run_blocks`)."""
-    return run_blocks(
-        blocks, partial(_format_block, config), _send_block, _receive_block, "generating patients"
-    )
-
-
 def write_cohort(config: GeneratorConfig, out_dir) -> tuple[list[Path], int]:
     """Generate the cohort and write the four CSVs in the canonical
     schemas; returns their paths and the number of encounters.
 
-    Each file is the header followed by the blocks' bodies in block
-    order. Patients are numbered in file order and each draws from its
+    Patients are generated in contiguous blocks, one per usable core and
+    none smaller than MIN_BLOCK_PATIENTS, each one after the first in a
+    forked child (see `parallel.run_blocks`). Each file is the header
+    followed by the blocks' bodies in block order. Patients are numbered in file order and each draws from its
     own substream, so the bytes do not depend on the number of blocks.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_blocks(config, _blocks(config.n_patients))
+    blocks = block_ranges(config.n_patients, usable_cores(), MIN_BLOCK_PATIENTS)
+    results = run_blocks(
+        blocks, partial(_format_block, config), _send_block, _receive_block, "generating patients"
+    )
     written = []
     for index, kind in enumerate(TABLE_COLUMNS):
         path = out_dir / f"{kind}.csv"

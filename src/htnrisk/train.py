@@ -311,10 +311,9 @@ def _lr_val_loss(params, X, y, w, lam) -> float:
 
 
 def _lstm_val_loss(params, X, y, w, lam) -> float:
-    from .nnet import lstm_forward, lstm_l1_penalty, weighted_bce
+    from .nnet import lstm_l1_penalty, lstm_logits, weighted_bce
 
-    _, tape = lstm_forward(params, X)
-    bce = float(np.mean(weighted_bce(tape.logits, y, w)))
+    bce = float(np.mean(weighted_bce(lstm_logits(params, X), y, w)))
     return bce + lstm_l1_penalty(params, lam)
 
 

@@ -409,6 +409,24 @@ def test_criterion_8_full_rerun_is_byte_identical(positive_run, tmp_path):
              failures, f"{len(pairs)} artifacts compared")
 
 
+def test_lstm_evaluation_does_not_depend_on_the_blas_thread_count(
+    positive_run, tmp_path, blas_threads
+):
+    from htnrisk.parallel import blas_thread_control
+
+    set_threads = blas_thread_control()[1]
+    samples = str(positive_run.cohort / "samples.json")
+    files = []
+    for threads in (1, 2):
+        set_threads(threads)
+        out = tmp_path / f"threads_{threads}"
+        assert main(["evaluate", "--model", str(positive_run.lstm_dir / "model.json"),
+                     "--samples", samples, "--split", "train", "--out", str(out)]) == 0
+        files.append([(out / name).read_bytes() for name in ("report.json", "roc_model.csv")])
+    assert read_json(tmp_path / "threads_1" / "report.json")["n"] > 2 * 256
+    assert files[0] == files[1]
+
+
 # -- criterion 9: schema leakage -------------------------------------------------
 
 

@@ -128,6 +128,28 @@ def test_train_stage_artifacts(pipeline):
     assert "train_log" not in manifest["outputs"]
 
 
+def test_train_frees_the_decoded_cohort_before_training(pipeline, tmp_path, monkeypatch, capsys):
+    import htnrisk.train as train
+    from htnrisk.cohort import Cohort
+
+    def cohorts():
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, Cohort)}
+
+    before = cohorts()
+    alive_at_start = []
+    train_model = train.train_model
+
+    def watched(*args, **kwargs):
+        alive_at_start.append(cohorts() - before)
+        return train_model(*args, **kwargs)
+
+    monkeypatch.setattr(train, "train_model", watched)
+    assert main(["train", "--model", "lr", "--samples", str(pipeline["cohort"] / "samples.json"),
+                 "--schema", str(pipeline["features"] / "schema.json"), "--epochs", "1",
+                 "--out", str(tmp_path / "lr")]) == 0
+    assert alive_at_start == [set()]
+
+
 def test_train_lstm_uses_config_file(pipeline):
     model = read_json(pipeline["lstm"] / "model.json")
     assert model["kind"] == "lstm"
@@ -288,9 +310,18 @@ def test_main_leaves_an_enabled_collector_enabled(pipeline, tmp_path, monkeypatc
 
 
 def _split_into_blocks(monkeypatch, cores):
-    """Make generate use `cores` blocks for any cohort of at least that many patients."""
-    monkeypatch.setattr(synth, "_usable_cores", lambda: cores)
+    """Make generate use `cores` blocks for any cohort of at least that many
+    patients; returns the block count of each run, as it reaches run_blocks."""
+    monkeypatch.setattr(synth, "usable_cores", lambda: cores)
     monkeypatch.setattr(synth, "MIN_BLOCK_PATIENTS", 1)
+    block_counts = []
+
+    def counted(blocks, *rest):
+        block_counts.append(len(blocks))
+        return parallel.run_blocks(blocks, *rest)
+
+    monkeypatch.setattr(synth, "run_blocks", counted)
+    return block_counts
 
 
 @pytest.mark.parametrize("n_patients, cores", [(7, 2), (7, 3), (2, 3)])
@@ -298,13 +329,6 @@ def test_generated_files_do_not_depend_on_the_block_count(
     tmp_path, monkeypatch, capsys, n_patients, cores
 ):
     block_counts = []
-    run_blocks = synth._run_blocks
-
-    def counted(config, blocks):
-        block_counts.append(len(blocks))
-        return run_blocks(config, blocks)
-
-    monkeypatch.setattr(synth, "_run_blocks", counted)
 
     def generate(name, cores):
         # Each run writes to "data" in its own directory, so the manifests'
@@ -312,9 +336,10 @@ def test_generated_files_do_not_depend_on_the_block_count(
         run_dir = tmp_path / name
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
-        _split_into_blocks(monkeypatch, cores)
+        counts = _split_into_blocks(monkeypatch, cores)
         argv = ["generate", "--out", "data", "--seed", "4", "--patients", str(n_patients)]
         assert main(argv) == 0
+        block_counts.extend(counts)
         files = {path.name: path.read_bytes() for path in (run_dir / "data").iterdir()}
         return files, capsys.readouterr().out
 

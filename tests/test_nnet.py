@@ -7,10 +7,12 @@ finite differences of the loss.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import htnrisk.nnet as nnet
 from htnrisk.nnet import (
     GATES,
     LrParams,
@@ -24,6 +26,7 @@ from htnrisk.nnet import (
     lstm_forward,
     lstm_input_gradients,
     lstm_l1_penalty,
+    lstm_logits,
     lstm_loss_and_grads,
     lstm_predict_proba,
     sigmoid,
@@ -275,6 +278,77 @@ def test_lstm_forward_nonfinite_input_raises(rng):
     X[0, 2, 1] = np.nan
     with pytest.raises(NumericalError):
         lstm_forward(params, X)
+
+
+# -- tape-free inference ------------------------------------------------------------
+
+def _inference_lstm(seed, F=62, H=120):
+    return init_lstm_params(F, H, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 66, 67, 70, 255, 256, 257, 319, 320, 610, 2936])
+def test_lstm_logits_equal_the_taped_forward(n):
+    params = _inference_lstm(n)
+    X = np.random.default_rng(n + 1).normal(0.0, 0.5, size=(n, 6, 62))
+    logits = lstm_logits(params, X)
+    assert np.array_equal(logits, lstm_forward(params, X)[1].logits)
+    assert np.array_equal(lstm_predict_proba(params, X), lstm_forward(params, X)[0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk_rows", [2, 3])
+def test_lstm_logits_equal_the_taped_forward_in_small_chunks(
+    monkeypatch, blas_threads, chunk_rows, threads
+):
+    from htnrisk.parallel import blas_thread_control
+
+    blas_thread_control()[1](threads)
+    monkeypatch.setattr(nnet, "CHUNK_ROWS", chunk_rows)
+    params = _inference_lstm(chunk_rows)
+    for n in (1, 2, 3, 4, 5, 7, 66, 67, 70):
+        X = np.random.default_rng(n).normal(0.0, 0.5, size=(n, 6, 62))
+        assert np.array_equal(lstm_logits(params, X), lstm_forward(params, X)[1].logits), n
+
+
+def test_lstm_chunks_never_leave_one_row_alone(monkeypatch):
+    for chunk_rows in (2, 3, 256):
+        monkeypatch.setattr(nnet, "CHUNK_ROWS", chunk_rows)
+        for n in range(1, 600):
+            chunks = nnet._chunks(n)
+            assert [i for rows in chunks for i in rows] == list(range(n))
+            assert n == 1 or min(map(len, chunks)) >= 2
+            assert max(map(len, chunks)) <= chunk_rows + 1
+
+
+def test_lstm_logits_raise_like_the_taped_forward(rng):
+    params = _random_lstm(rng)
+    with pytest.raises(ValueError, match="^expected 3 features, got 5$"):
+        lstm_logits(params, np.ones((2, 6, 5)))
+    X = np.zeros((300, 6, 3))
+    X[280, 2, 1] = np.nan
+    for forward in (lstm_forward, lstm_logits):
+        with pytest.raises(NumericalError, match="^non-finite values in lstm activations at step 2$"):
+            forward(params, X)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lstm_logits_memory_grows_only_by_the_final_states():
+    T, F, H = 6, 62, 120
+    params = _inference_lstm(0, F, H)
+    small, large = (np.random.default_rng(n).normal(size=(n, T, F)) for n in (1024, 4096))
+    growth = _peak_bytes(lstm_logits, params, large) - _peak_bytes(lstm_logits, params, small)
+    extra_rows = 4096 - 1024
+    # The (n, H) final states and a few (n,) vectors, not a T*n*4H tape.
+    assert growth < 1.25 * extra_rows * H * 8
+    assert _peak_bytes(lstm_forward, params, large) > extra_rows * T * 4 * H * 8
 
 
 # -- LSTM gradients against finite differences --------------------------------------

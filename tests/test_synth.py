@@ -268,11 +268,19 @@ def test_weighted_choice_draws_what_generator_choice_draws(weighted):
     ],
 )
 def test_patient_blocks_are_contiguous_and_not_below_the_minimum(
-    monkeypatch, n_patients, cores, expected
+    monkeypatch, tmp_path, n_patients, cores, expected
 ):
-    monkeypatch.setattr(synth, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(synth, "usable_cores", lambda: cores)
     monkeypatch.setattr(synth, "MIN_BLOCK_PATIENTS", 500)
-    blocks = synth._blocks(n_patients)
+    block_lists = []
+
+    def record(blocks, compute, send, receive, label):
+        block_lists.append(blocks)
+        return [([""] * len(synth.TABLE_COLUMNS), 0) for _ in blocks]  # generates nobody
+
+    monkeypatch.setattr(synth, "run_blocks", record)
+    synth.write_cohort(GeneratorConfig(n_patients=n_patients), tmp_path)
+    [blocks] = block_lists
     assert [len(block) for block in blocks] == expected
     assert [i for block in blocks for i in block] == list(range(n_patients))
     assert len(blocks) == 1 or min(map(len, blocks)) >= synth.MIN_BLOCK_PATIENTS
