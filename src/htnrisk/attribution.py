@@ -113,29 +113,20 @@ def population_attributions(
     X = np.asarray(X, dtype=np.float64)
     baseline = np.zeros(X.shape[1:])
 
-    def attribute(samples: range) -> np.ndarray:
+    def attribute(samples: range) -> list[np.ndarray]:
         out = np.empty((len(samples),) + X.shape[1:])
         for i, row in enumerate(X[samples.start : samples.stop]):
             out[i] = integrated_gradients(score_fn, row, baseline, steps)
-        return out
-
-    def receive(receiver, samples: range) -> np.ndarray:
-        out = np.empty((len(samples),) + X.shape[1:])
-        receiver.recv_bytes_into(memoryview(out).cast("B"))
-        return out
+        return [out]
 
     blocks = block_ranges(X.shape[0], usable_cores(), MIN_BLOCK_SAMPLES)
     with one_blas_thread(blocks) as blocks:
-        per_block = run_blocks(blocks, attribute, _send_attributions, receive, "attributing samples")
+        per_block = run_blocks(blocks, attribute, "attributing samples")
     total = np.zeros(X.shape[1:])
-    for attributions in per_block:
-        for sample in attributions:
+    for [buffer] in per_block:
+        for sample in np.frombuffer(buffer).reshape((-1,) + X.shape[1:]):
             total += sample
     return total / X.shape[0]
-
-
-def _send_attributions(sender, attributions: np.ndarray) -> None:
-    sender.send_bytes(attributions)  # one raw float64 message, not a pickle
 
 
 # -- exports -------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .cohort import (
     HORIZON_DAYS,
     SPLIT_NAMES,
     check_fiscal_year_start,
+    check_horizon,
     check_split_fractions,
     cohort_from_dict,
     cohort_to_dict,
@@ -113,6 +114,7 @@ def cmd_cohort(args) -> int:
         ) from None
     check_split_fractions(fractions)
     check_fiscal_year_start(args.fiscal_year_start)
+    check_horizon(args.horizon)
     data_dir = Path(args.data)
     events = {}
     row_errors = []

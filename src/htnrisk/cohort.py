@@ -199,6 +199,12 @@ def build_samples(
     return samples
 
 
+def check_horizon(days: int) -> None:
+    """A target window is at least one day; anything shorter is a ValueError."""
+    if days < 1:
+        raise ValueError(f"horizon must be at least 1 day, got {days}")
+
+
 def check_split_fractions(fractions) -> None:
     """One non-negative fraction per split, summing to 1; else a ValueError."""
     if len(fractions) != len(SPLIT_NAMES):
@@ -266,6 +272,7 @@ def select_cohort(
     fiscal_year_start: int = 1,
 ) -> Cohort:
     """Run the full selection: error floor, exclusions, samples, splits."""
+    check_horizon(horizon_days)
     total = len(timelines)
     filtered = {
         patient: exclude_bp_reading_errors(stream) for patient, stream in timelines.items()

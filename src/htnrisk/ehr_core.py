@@ -385,10 +385,10 @@ def format_rows(events: Iterable, kind: str) -> str:
     return buffer.getvalue()
 
 
-def write_table(path: str | Path, kind: str, bodies: Iterable[str]) -> None:
-    """Write the header of `kind`, then each `format_rows` text in order."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(TABLE_COLUMNS[kind])
+def write_table(path: str | Path, kind: str, bodies: Iterable[bytes]) -> None:
+    """Write the header of `kind`, then each UTF-8 `format_rows` text in order."""
+    with Path(path).open("wb") as handle:
+        handle.write((",".join(TABLE_COLUMNS[kind]) + "\n").encode("utf-8"))
         handle.writelines(bodies)
 
 

@@ -261,7 +261,6 @@ def lstm_forward(
     params: LstmParams,
     X: Matrix,
     dropout_rate: float = 0.0,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, LstmTape]:
     """Run the recurrence over a batch (n, T, F) -> probabilities (n,),
@@ -269,10 +268,10 @@ def lstm_forward(
 
     The input projections of all T steps take one matmul; each step then
     adds its recurrent term and the bias to its slice and turns the slice
-    into gate activations in place. Inverted dropout is applied to the
-    final hidden state only, and only in train_mode: kept units are scaled
-    by 1/(1-rate) so the expected pre-dense activation matches the
-    evaluation-mode forward.
+    into gate activations in place. Inverted dropout at `dropout_rate`
+    (training only; 0 switches it off) is applied to the final hidden
+    state only: kept units are scaled by 1/(1-rate) so the expected
+    pre-dense activation matches the evaluation-mode forward.
     """
     X = _batch(params, X)
     n, T, _ = X.shape
@@ -283,9 +282,9 @@ def lstm_forward(
     for t in range(T):
         _lstm_step(params, gates[t], t, h, c, (c_s[t], tc_s[t], h_s[t]))
         c, h = c_s[t], h_s[t]
-    if train_mode and dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         if rng is None:
-            raise ValueError("dropout in train_mode requires an rng")
+            raise ValueError("dropout requires an rng")
         mask = (rng.random((n, H)) >= dropout_rate) / (1.0 - dropout_rate)
     else:
         mask = np.ones((n, H))
@@ -415,11 +414,10 @@ def lstm_loss_and_grads(
     sample_weights: np.ndarray,
     lam: float = 0.0,
     dropout_rate: float = 0.0,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, LstmParams]:
     """Mean weighted BCE + L1 over a batch, with exact BPTT gradients."""
-    p, tape = lstm_forward(params, X, dropout_rate, train_mode, rng)
+    p, tape = lstm_forward(params, X, dropout_rate, rng)
     n = p.shape[0]
     loss = float(np.mean(weighted_bce(tape.logits, y, sample_weights)))
     loss += lstm_l1_penalty(params, lam)
@@ -443,7 +441,7 @@ def lstm_input_gradients(params: LstmParams, X: Matrix) -> tuple[np.ndarray, np.
     are of the output probability itself, as attribution requires. Only
     the input gradient is formed: dX_t = dz_t W^T, in one matmul.
     """
-    p, tape = lstm_forward(params, X, dropout_rate=0.0, train_mode=False)
+    p, tape = lstm_forward(params, X)
     dZ = _bptt(params, tape, p * (1.0 - p))
     T, n, _ = dZ.shape
     dX = (dZ.reshape(T * n, -1) @ params.W.T).reshape(T, n, params.n_features)

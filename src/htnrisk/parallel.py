@@ -2,9 +2,11 @@
 
 `generate` splits its patients and `attribute` its integrated-gradients
 samples this way. The first block runs in the calling process and each
-other one in a child started with `fork`, which sends its result back
-through a pipe as raw bytes: a pickle of a large result costs a second
-copy and fragments the parent's heap, which raised its peak RSS.
+other one in a child started with `fork`. A block's result is a list of
+raw buffers, which a child sends back through a pipe one message each:
+a pickle of a large result costs a second copy and fragments the
+parent's heap, and one pickle of `generate`'s four tables left the
+parent's peak RSS ~6 MB higher in the stages that follow.
 """
 
 from __future__ import annotations
@@ -85,24 +87,25 @@ def one_blas_thread(blocks: list[range]):
         set_(previous)
 
 
-def _send_block(sender, compute, send, block: range) -> None:
+def _send_block(sender, compute, block: range) -> None:
     """Body of a forked child: send the exception `compute` raised, or
-    None and then `send`'s raw messages of its result."""
+    the number of buffers it returned and then each one."""
     try:
-        result = compute(block)
+        buffers = compute(block)
     except Exception as exc:
         sender.send(exc)
     else:
-        sender.send(None)
-        send(sender, result)
+        sender.send(len(buffers))
+        for buffer in buffers:
+            sender.send_bytes(buffer)
     sender.close()
 
 
-def _receive_block(child, receiver, receive, block: range, label: str):
+def _receive_block(child, receiver, block: range, label: str) -> list[bytes]:
     try:
         status = receiver.recv()
-        if status is None:
-            return receive(receiver, block)
+        if not isinstance(status, BaseException):
+            return [receiver.recv_bytes() for _ in range(status)]
     except EOFError:
         child.join()
         raise ChildProcessError(
@@ -112,14 +115,15 @@ def _receive_block(child, receiver, receive, block: range, label: str):
     raise status
 
 
-def run_blocks(blocks: list[range], compute, send, receive, label: str) -> list:
+def run_blocks(blocks: list[range], compute, label: str) -> list[list]:
     """`compute(block)` of every block, in block order: the first in this
-    process, each other one in a forked child. A child calls
-    `send(sender, result)` to write its result to a pipe as raw messages,
-    and `receive(receiver, block)` reads them back here, in the main
-    thread. An exception a child raises is raised here with its own type;
-    a child that dies first is a ChildProcessError naming `label` (such
-    as "generating patients") and the block."""
+    process, each other one in a forked child. `compute` returns a list
+    of buffers (bytes or C-contiguous numpy arrays): the first
+    block's list comes back as it is, and a child's as one `bytes` per
+    buffer, read here in the main thread. An exception a child raises is
+    raised here with its own type; a child that dies first is a
+    ChildProcessError naming `label` (such as "generating patients") and
+    the block."""
     if len(blocks) == 1:
         return [compute(blocks[0])]
     import multiprocessing
@@ -132,15 +136,13 @@ def run_blocks(blocks: list[range], compute, send, receive, label: str) -> list:
     try:
         for block in blocks[1:]:
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_send_block, args=(sender, compute, send, block), daemon=True
-            )
+            child = context.Process(target=_send_block, args=(sender, compute, block), daemon=True)
             children.append((child, receiver))
             child.start()
             sender.close()
         results = [compute(blocks[0])]
         for (child, receiver), block in zip(children, blocks[1:]):
-            results.append(_receive_block(child, receiver, receive, block, label))
+            results.append(_receive_block(child, receiver, block, label))
         return results
     except BaseException:
         # The other blocks are no longer wanted: stop children still

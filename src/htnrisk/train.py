@@ -252,7 +252,7 @@ def train_model(
         meta = (X_train.shape[2], config.hidden_size)
         from_vector = LstmParams.from_vector
         loss_and_grads = lambda prm, X, y, w, rng: lstm_loss_and_grads(
-            prm, X, y, w, config.l1_lambda, config.dropout_rate, True, rng
+            prm, X, y, w, config.l1_lambda, config.dropout_rate, rng
         )
         val_loss_fn = lambda prm: _lstm_val_loss(prm, X_val, y_val, w_val, config.l1_lambda)
 

@@ -341,7 +341,11 @@ def test_generated_files_do_not_depend_on_the_block_count(
         assert main(argv) == 0
         block_counts.extend(counts)
         files = {path.name: path.read_bytes() for path in (run_dir / "data").iterdir()}
-        return files, capsys.readouterr().out
+        out = capsys.readouterr().out
+        # The count the blocks return is the number of rows they wrote.
+        rows = files["encounters.csv"].count(b"\n") - 1
+        assert out.startswith(f"generate: wrote {rows} encounters for {n_patients} patients")
+        return files, out
 
     one_block = generate("one", 1)
     assert sorted(one_block[0]) == [
@@ -916,6 +920,10 @@ _BAD_FLAGS = [
      "fractions must be non-negative and sum to 1, got (nan, 0.5, 0.5)"),
     ("cohort-non-numeric-fraction", ["cohort", "--data", "MISSING", "--fractions", "0.7,x,0.15"],
      "--fractions must be three comma-separated numbers such as 0.7,0.15,0.15, got '0.7,x,0.15'"),
+    ("cohort-negative-horizon", ["cohort", "--data", "MISSING", "--horizon", "-5"],
+     "horizon must be at least 1 day, got -5"),
+    ("cohort-zero-horizon", ["cohort", "--data", "MISSING", "--horizon", "0"],
+     "horizon must be at least 1 day, got 0"),
     ("train-zero-epochs", ["train", "--samples", "MISSING", "--schema", "MISSING",
                            "--model", "lr", "--epochs", "0"],
      "learning_rate, batch_size, and max_epochs must be positive"),

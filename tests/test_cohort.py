@@ -141,6 +141,12 @@ def test_fiscal_year_start_must_be_a_month(make_encounter, month):
         apply_cohort_exclusions({"p1": [make_encounter(when=date(2023, 1, 1))]}, month)
 
 
+@pytest.mark.parametrize("days", [0, -5])
+def test_horizon_must_be_at_least_one_day(make_timeline, days):
+    with pytest.raises(ValueError, match=f"at least 1 day, got {days}"):
+        select_cohort({"p1": make_timeline(4)}, horizon_days=days)
+
+
 def test_no_vitals_rule_counts_bp_as_vitals(make_timeline):
     bare = make_timeline(3, systolic=None, diastolic=None)
     bp_only = make_timeline(3, systolic=None, diastolic=None)

@@ -281,7 +281,7 @@ def test_serialize_then_parse_round_trips(tmp_path, make_encounter):
         make_encounter(patient="p2", sex="male", diagnosis_code="I10", deceased=True),
     ]
     path = tmp_path / "encounters.csv"
-    write_table(path, "encounters", [format_rows(records, "encounters")])
+    write_table(path, "encounters", [format_rows(records, "encounters").encode("utf-8")])
     parsed, errors = parse_table(path, "encounters")
     assert errors == []
     assert [encounter_to_dict(e) for e in parsed] == [encounter_to_dict(e) for e in records]

@@ -478,8 +478,8 @@ def test_lstm_fused_gradients_equal_per_gate_reference(rng):
     params = _random_lstm(rng, F, H)
     X, y, w = _random_batch(rng, n=4, T=6, F=F)
     dropout_rng = np.random.default_rng(3)
-    _, grads = lstm_loss_and_grads(params, X, y, w, 0.0, 0.3, True, dropout_rng)
-    p, tape = lstm_forward(params, X, 0.3, True, np.random.default_rng(3))
+    _, grads = lstm_loss_and_grads(params, X, y, w, 0.0, 0.3, dropout_rng)
+    p, tape = lstm_forward(params, X, 0.3, np.random.default_rng(3))
     ref, _ = _per_gate_bptt(params, X, w * (p - y) / len(y), tape.mask)
     for kind in ("W", "U", "b"):
         for gate, block in zip(GATES, split_gates(getattr(grads, kind))):
@@ -509,7 +509,7 @@ def test_dropout_mask_statistics_and_scaling(rng):
     mask_sum = 0.0
     for k in range(200):
         mask_rng = np.random.default_rng(10_000 + k)
-        _, tape = lstm_forward(params, X, dropout_rate=rate, train_mode=True, rng=mask_rng)
+        _, tape = lstm_forward(params, X, dropout_rate=rate, rng=mask_rng)
         np.testing.assert_array_equal(tape.h_drop, tape.h[-1] * tape.mask)
         nonzero = tape.mask[tape.mask != 0.0]
         np.testing.assert_allclose(nonzero, 1.0 / (1.0 - rate), atol=1e-15)
@@ -522,25 +522,17 @@ def test_dropout_mask_statistics_and_scaling(rng):
     assert mask_sum / total == pytest.approx(1.0, abs=0.02)  # inverted scaling keeps E[mask] = 1
 
 
-def test_dropout_disabled_outside_train_mode(rng):
-    params = _random_lstm(rng)
-    X = rng.normal(size=(2, 6, 3))
-    p_eval, tape = lstm_forward(params, X, dropout_rate=0.5, train_mode=False)
-    np.testing.assert_array_equal(tape.mask, np.ones_like(tape.mask))
-    np.testing.assert_allclose(p_eval, lstm_predict_proba(params, X), atol=1e-15)
-
-
-def test_dropout_requires_rng_in_train_mode(rng):
+def test_dropout_requires_rng(rng):
     params = _random_lstm(rng)
     with pytest.raises(ValueError, match="rng"):
-        lstm_forward(params, np.zeros((1, 6, 3)), dropout_rate=0.5, train_mode=True)
+        lstm_forward(params, np.zeros((1, 6, 3)), dropout_rate=0.5)
 
 
 def test_dropout_is_rng_deterministic(rng):
     params = _random_lstm(rng)
     X = rng.normal(size=(2, 6, 3))
-    _, tape_a = lstm_forward(params, X, 0.3, True, np.random.default_rng(5))
-    _, tape_b = lstm_forward(params, X, 0.3, True, np.random.default_rng(5))
+    _, tape_a = lstm_forward(params, X, 0.3, np.random.default_rng(5))
+    _, tape_b = lstm_forward(params, X, 0.3, np.random.default_rng(5))
     np.testing.assert_array_equal(tape_a.mask, tape_b.mask)
 
 
@@ -554,7 +546,7 @@ def test_dropout_gradients_still_match_finite_differences(rng):
     def loss_at(vec):
         prm = LstmParams.from_vector(vec, F, H)
         loss, grads = lstm_loss_and_grads(
-            prm, X, y, w, 0.0, rate, True, np.random.default_rng(99)
+            prm, X, y, w, 0.0, rate, np.random.default_rng(99)
         )
         return loss, grads
 

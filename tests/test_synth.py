@@ -274,9 +274,9 @@ def test_patient_blocks_are_contiguous_and_not_below_the_minimum(
     monkeypatch.setattr(synth, "MIN_BLOCK_PATIENTS", 500)
     block_lists = []
 
-    def record(blocks, compute, send, receive, label):
+    def record(blocks, compute, label):
         block_lists.append(blocks)
-        return [([""] * len(synth.TABLE_COLUMNS), 0) for _ in blocks]  # generates nobody
+        return [[b"0"] + [b""] * len(synth.TABLE_COLUMNS) for _ in blocks]  # generates nobody
 
     monkeypatch.setattr(synth, "run_blocks", record)
     synth.write_cohort(GeneratorConfig(n_patients=n_patients), tmp_path)
