@@ -1,5 +1,5 @@
-"""Shared artifact plumbing: canonical JSON, LF CSV, hashing, key=value
-configs, and per-stage run manifests.
+"""Shared artifact plumbing: canonical JSON and the checks of loaded JSON,
+LF CSV, hashing, key=value configs, and per-stage run manifests.
 
 Every file the pipeline writes must be byte-reproducible under a fixed
 seed, so all JSON goes through `canonical_json` (sorted keys, no
@@ -16,7 +16,10 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, get_type_hints
 
-from .ehr_core import DataError
+
+
+class DataError(Exception):
+    """Fatal data problem: bad header, unreadable file, empty cohort."""
 
 
 def canonical_json(obj: Any) -> str:
@@ -42,6 +45,73 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"{path}: not valid JSON: {err}") from None
+
+
+# -- checks of loaded JSON ----------------------------------------------------
+# Each takes the exact JSON types a value may have: a bool is never a number,
+# an int always is. A failure is a one-line DataError: "<where> is not an
+# object", "<where> lacks <key>" or "<where> <key> <value> is not <kinds>",
+# where <value> is the repr of a scalar and left out for a list or object.
+
+STRING, INTEGER, NUMBER = frozenset({str}), frozenset({int}), frozenset({int, float})
+BOOL, OBJECT, LIST, NULL = (frozenset({kind}) for kind in (bool, dict, list, type(None)))
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               dict: "an object", list: "a list", type(None): "null"}
+
+
+def _wrong_type(label: str, value, kinds: frozenset) -> DataError:
+    shown = "" if type(value) in (dict, list) else f" {value!r}"
+    names = [name for kind, name in _KIND_NAMES.items()
+             if kind in kinds and not (kind is int and float in kinds)]
+    return DataError(f"{label}{shown} is not {' or '.join(names)}")
+
+
+def require_format(data, tag: str, name: str) -> None:
+    """A DataError unless `data` is an object whose "format" is `tag`."""
+    fmt = data.get("format") if type(data) is dict else None
+    if fmt != tag:
+        raise DataError(f"unsupported {name} format {fmt!r}")
+
+
+def require(obj, key: str, kinds: frozenset, where: str):
+    """obj[key], where `obj` is a JSON object holding `key` with a value of
+    one of the JSON types `kinds`, else a DataError."""
+    if type(obj) is not dict:
+        raise _wrong_type(where, obj, OBJECT)
+    if key not in obj:
+        raise DataError(f"{where} lacks {key}")
+    value = obj[key]
+    if type(value) not in kinds:
+        raise _wrong_type(f"{where} {key}", value, kinds)
+    return value
+
+
+def require_keys(obj, table: dict, where: str) -> list:
+    """[require(obj, key, kinds, where) for key, kinds in table.items()], in
+    one flat loop for the hot paths."""
+    values = []
+    try:
+        for key, kinds in table.items():
+            value = obj[key]
+            if type(value) not in kinds:
+                break
+            values.append(value)
+        else:
+            return values
+    except (KeyError, TypeError):
+        pass
+    require(obj, key, kinds, where)
+
+
+def require_each(values: list | dict, kinds: frozenset, where: str):
+    """`values`, every item of the list or value of the object being of one
+    of the JSON types `kinds`, else a DataError naming the first that is not."""
+    keyed = type(values) is dict
+    if not kinds.issuperset(map(type, values.values() if keyed else values)):
+        for key, value in values.items() if keyed else enumerate(values):
+            if type(value) not in kinds:
+                raise _wrong_type(f"{where} {key}" if keyed else f"{where}[{key}]", value, kinds)
+    return values
 
 
 def write_csv(path: str | Path, header: list, rows: Iterable[list]) -> None:
@@ -106,8 +176,8 @@ def read_config(cls: type, path: str | Path) -> dict[str, Any]:
     sets, each converted to its annotated type.
 
     A key that is not a field of `cls`, or a value its type cannot take,
-    is a ValueError. A bool is one of true/false, yes/no or 1/0, in any
-    case.
+    is a ValueError, as is a float that is nan or infinite. A bool is one
+    of true/false, yes/no or 1/0, in any case.
     """
     types = get_type_hints(cls)
     values = {}
@@ -117,6 +187,8 @@ def read_config(cls: type, path: str | Path) -> dict[str, Any]:
         kind = types[key]
         try:
             values[key] = _BOOLS[text.lower()] if kind is bool else kind(text)
+            if kind is float and not math.isfinite(values[key]):
+                raise ValueError
         except (KeyError, ValueError):
             raise ValueError(f"{path}: {key}={text!r} is not a valid {kind.__name__}") from None
     return values

@@ -291,6 +291,8 @@ def cmd_evaluate(args) -> int:
     from .evaluate import carry_forward_baseline, evaluate_scores, roc_curve
     from .train import load_model, model_inputs, predict_proba
 
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be a finite number, got {args.threshold}")
     kind, params, schema, _training = load_model(args.model)
     samples = _evaluation_samples(args.samples, args.split)
     X, y = model_inputs(kind, samples, schema)

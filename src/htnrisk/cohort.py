@@ -14,7 +14,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .artifacts import derive_seed, write_csv
+from .artifacts import (
+    BOOL, INTEGER, LIST, OBJECT, STRING, derive_seed, require, require_format, require_keys,
+    write_csv,
+)
 from .ehr_core import DataError, EncounterRecord, PatientId, encounter_from_dict, encounter_to_dict
 
 SYSTOLIC_THRESHOLD = 140.0  # mmHg, label boundary (inclusive)
@@ -304,14 +307,12 @@ def select_cohort(
 
 SAMPLES_FORMAT = "htnrisk-samples/1"
 
-#: The top-level keys of the samples file, with their JSON types.
-_SAMPLES_KEYS = {
-    "horizon_days": (int, "an integer"),
-    "total_patients": (int, "an integer"),
-    "exclusion_tally": (dict, "an object"),
-    "patients": (dict, "an object"),
-    "samples": (list, "a list"),
-}
+#: The JSON types of the keys of the samples file, of a patient entry, and
+#: of a sample row after its patient.
+_FILE_KINDS = {"horizon_days": INTEGER, "total_patients": INTEGER, "exclusion_tally": OBJECT,
+               "patients": OBJECT, "samples": LIST}
+_ENTRY_KINDS = {"split": STRING, "encounters": LIST}
+_ROW_KINDS = {"target_index": INTEGER, "label": INTEGER, "final": BOOL}
 
 
 def cohort_to_dict(cohort: Cohort) -> dict:
@@ -345,30 +346,21 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
 
     The returned cohort holds those patients' timelines, split assignments
     and samples. Every patient entry and sample row of the file is still
-    checked: a missing top-level key or one of another JSON type, a patient
-    entry without a split and an encounters list, an unknown split name, a
-    sample row without its four keys, a sample of an unknown patient, a
-    target index outside its patient's timeline (or at 0, which leaves no
-    history), a label other than 0 or 1, and a `final` that is not a bool
-    are each a DataError, as is an encounter that `encounter_from_dict`
-    rejects among the decoded ones.
+    checked: a missing key or a value of another JSON type in the top level,
+    a patient entry or a sample row, an unknown split name, a sample of an
+    unknown patient, a target index outside its patient's timeline (or at
+    0, which leaves no history) and a label other than 0 or 1 are each a
+    DataError, as is an encounter that `encounter_from_dict` rejects among
+    the decoded ones.
     """
-    fmt = data.get("format") if isinstance(data, dict) else None
-    if fmt != SAMPLES_FORMAT:
-        raise DataError(f"unsupported samples format {fmt!r}")
-    for key, (kind, name) in _SAMPLES_KEYS.items():
-        if key not in data:
-            raise DataError(f"samples file lacks {key}")
-        if type(data[key]) is not kind:
-            raise DataError(f"samples file {key} is not {name}")
+    require_format(data, SAMPLES_FORMAT, "samples")
+    horizon_days, total_patients, tally, patients, rows = require_keys(
+        data, _FILE_KINDS, "samples file")
     lengths = {}
     timelines = {}
     kept_splits = {}
-    for patient, entry in data["patients"].items():
-        encounters = entry.get("encounters") if type(entry) is dict else None
-        if type(encounters) is not list or "split" not in entry:
-            raise DataError(f"patient {patient}: entry lacks a split or an encounters list")
-        split = entry["split"]
+    for patient, entry in patients.items():
+        split, encounters = require_keys(entry, _ENTRY_KINDS, f"patient {patient}: entry")
         if split not in SPLIT_NAMES:
             raise DataError(f"patient {patient}: unknown split {split!r}")
         lengths[patient] = len(encounters)
@@ -379,25 +371,17 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
                 raise DataError(f"patient {patient}: {err}") from None
             kept_splits[patient] = split
     samples = []
-    for row in data["samples"]:
-        try:
-            patient, idx, label, final = (
-                row["patient"], row["target_index"], row["label"], row["final"]
-            )
-        except (KeyError, TypeError):
-            raise DataError(
-                f"sample {row!r} is not an object with patient, target_index, label and final"
-            ) from None
-        if type(patient) is not str or patient not in lengths:
+    for row in rows:
+        patient = require(row, "patient", STRING, "sample")
+        if patient not in lengths:
             raise DataError(f"sample of unknown patient {patient!r}")
-        if type(idx) is not int or not 1 <= idx < lengths[patient]:
+        idx, label, final = require_keys(row, _ROW_KINDS, f"patient {patient}:")
+        if not 1 <= idx < lengths[patient]:
             raise DataError(
                 f"patient {patient}: target_index {idx!r} outside 1..{lengths[patient] - 1}"
             )
-        if type(label) is not int or label not in (0, 1):
+        if label not in (0, 1):
             raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
-        if type(final) is not bool:
-            raise DataError(f"patient {patient}: final {final!r} is not true or false")
         timeline = timelines.get(patient)
         if timeline is None:
             continue
@@ -417,7 +401,7 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
         timelines=timelines,
         samples=samples,
         splits=kept_splits,
-        exclusion_tally=dict(data["exclusion_tally"]),
-        total_patients=data["total_patients"],
-        horizon_days=data["horizon_days"],
+        exclusion_tally=dict(tally),
+        total_patients=total_patients,
+        horizon_days=horizon_days,
     )

@@ -20,6 +20,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+from .artifacts import (
+    BOOL, LIST, NULL, NUMBER, OBJECT, STRING, DataError, format_number, require_each,
+    require_keys, write_csv,
+)
+
 PatientId = str
 
 #: Vital-sign columns of encounters.csv, in file order.
@@ -54,10 +59,6 @@ TABLE_COLUMNS = {
     "labs": LAB_COLUMNS,
     "diagnoses": DIAGNOSIS_COLUMNS,
 }
-
-
-class DataError(Exception):
-    """Fatal data problem: bad header, unreadable file, empty cohort."""
 
 
 class MedicationCategory(str, Enum):
@@ -351,7 +352,6 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
 def format_rows(events: Iterable, kind: str) -> str:
     """The CSV text of `events` in the canonical column order of `kind`,
     LF-terminated, without the header."""
-    from .artifacts import format_number
 
     def cell(value) -> str:
         if value is None:
@@ -393,8 +393,6 @@ def write_table(path: str | Path, kind: str, bodies: Iterable[bytes]) -> None:
 
 
 def write_error_report(errors: Iterable[RowError], path: str | Path) -> None:
-    from .artifacts import write_csv
-
     write_csv(path, ["row", "table", "message"], ([e.row, e.table, e.message] for e in errors))
 
 
@@ -486,61 +484,30 @@ def encounter_to_dict(enc: EncounterRecord) -> dict:
     }
 
 
-#: Each key of an encoded encounter, the JSON types its value may have, and
-#: their name. The values of "vitals" are numbers; those of "demographics"
-#: and the items of the three lists are strings.
-_NUMBERS = (int, float)
-_ENCOUNTER_TYPES = {
-    "patient": ((str,), "a string"),
-    "date": ((str,), "a string"),
-    "sex": ((str,), "a string"),
-    "age": (_NUMBERS, "a number"),
-    "systolic": ((*_NUMBERS, type(None)), "a number or null"),
-    "diastolic": ((*_NUMBERS, type(None)), "a number or null"),
-    "vitals": ((dict,), "an object"),
-    "demographics": ((dict,), "an object"),
-    "diagnosis_code": ((str, type(None)), "a string or null"),
-    "deceased": ((bool,), "true or false"),
-    "med_categories": ((list,), "a list"),
-    "lab_panels": ((list,), "a list"),
-    "problems": ((list,), "a list"),
+#: The JSON types of the keys of an encoded encounter, in field order.
+_ENCOUNTER_KINDS = {
+    "patient": STRING, "date": STRING, "sex": STRING, "age": NUMBER, "systolic": NUMBER | NULL,
+    "diastolic": NUMBER | NULL, "vitals": OBJECT, "demographics": OBJECT,
+    "diagnosis_code": STRING | NULL, "deceased": BOOL, "med_categories": LIST,
+    "lab_panels": LIST, "problems": LIST,
 }
 
 
 def encounter_from_dict(data: dict) -> EncounterRecord:
     """Inverse of encounter_to_dict. A missing key, a value or item of
     another JSON type, and a date that is not ISO are each a DataError."""
-    if type(data) is not dict:
-        raise DataError(f"encounter {data!r} is not an object")
+    (patient, day, sex, age, systolic, diastolic, vitals, demographics, code, deceased,
+     med_categories, lab_panels, problems) = require_keys(data, _ENCOUNTER_KINDS, "encounter")
+    require_each(vitals, NUMBER, "encounter vitals")
+    require_each(demographics, STRING, "encounter demographics")
+    require_each(med_categories, STRING, "encounter med_categories")
+    require_each(lab_panels, STRING, "encounter lab_panels")
+    require_each(problems, STRING, "encounter problems")
     try:
-        for key, (kinds, name) in _ENCOUNTER_TYPES.items():
-            if type(data[key]) not in kinds:
-                raise DataError(f"encounter {key} {data[key]!r} is not {name}")
-    except KeyError as err:
-        raise DataError(f"encounter lacks {err.args[0]}") from None
-    if not {int, float}.issuperset(map(type, data["vitals"].values())):
-        raise DataError(f"encounter vitals {data['vitals']!r} are not all numbers")
-    texts = (*data["demographics"].values(), *data["med_categories"], *data["lab_panels"],
-             *data["problems"])
-    if not {str}.issuperset(map(type, texts)):
-        raise DataError("encounter demographics, med_categories, lab_panels or problems "
-                        "hold a value that is not a string")
-    try:
-        when = date.fromisoformat(data["date"])
+        when = date.fromisoformat(day)
     except ValueError:
-        raise DataError(f"encounter date {data['date']!r} is not an ISO date") from None
+        raise DataError(f"encounter date {day!r} is not an ISO date") from None
     return EncounterRecord(
-        patient=data["patient"],
-        date=when,
-        sex=data["sex"],
-        age=data["age"],
-        systolic=data["systolic"],
-        diastolic=data["diastolic"],
-        vitals=dict(data["vitals"]),
-        demographics=dict(data["demographics"]),
-        diagnosis_code=data["diagnosis_code"],
-        deceased=data["deceased"],
-        med_categories=set(data["med_categories"]),
-        lab_panels=set(data["lab_panels"]),
-        problems=set(data["problems"]),
+        patient, when, sex, age, systolic, diastolic, dict(vitals), dict(demographics),
+        code, deceased, set(med_categories), set(lab_panels), set(problems),
     )

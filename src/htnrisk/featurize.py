@@ -16,7 +16,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .artifacts import canonical_json, format_number, sha256_hex, write_csv
+from .artifacts import (
+    BOOL, INTEGER, LIST, NUMBER, OBJECT, STRING, canonical_json, format_number, require,
+    require_each, require_format, require_keys, sha256_hex, write_csv,
+)
 from .cohort import CohortSample, compute_bp_fraction, label_bp_status
 from .ehr_core import DataError, EncounterRecord, MedicationCategory, DEMOGRAPHIC_NAMES
 
@@ -377,28 +380,16 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
     return {"format": SCHEMA_FORMAT, **asdict(schema)}
 
 
-_KINDS = {dict: "an object", list: "a list of strings", float: "a number",
-          int: "an integer", bool: "a boolean"}
-
-
-def _field(obj, key: str, kind: type, where: str):
-    """obj[key], present and of `kind`, else a DataError.
-
-    A number may be an int; a bool is never a number; lists hold strings.
-    """
-    value = obj.get(key) if isinstance(obj, dict) else None
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    if kind is list and ok:
-        ok = all(isinstance(item, str) for item in value)
-    if not ok or (isinstance(value, bool) and kind is not bool):
-        raise DataError(f"{where}.{key} is missing or not {_KINDS[kind]}")
-    return value
-
-
-def _stats(cls, group: dict, name: str, where: str):
-    obj = _field(group, name, dict, where)
-    kinds = {f.name: bool if f.type == "bool" else float for f in fields(cls)}
-    return cls(**{key: _field(obj, key, kind, f"{where}.{name}") for key, kind in kinds.items()})
+#: The JSON types of the keys of a schema and of its statistics objects, in
+#: the field order of FeatureSchema, NumericStats and LabStats.
+_SCHEMA_KINDS = {
+    "numeric": OBJECT, "categorical": OBJECT, "lab_panels": OBJECT, "problem_codes": LIST,
+    "columns": LIST, "lr_columns": LIST, "n_encounters": INTEGER, "n_samples": INTEGER,
+}
+_NUMERIC_KINDS, _LAB_KINDS = (
+    {f.name: BOOL if f.type == "bool" else NUMBER for f in fields(cls)}
+    for cls in (NumericStats, LabStats)
+)
 
 
 def schema_from_dict(data: dict) -> FeatureSchema:
@@ -407,29 +398,26 @@ def schema_from_dict(data: dict) -> FeatureSchema:
     A missing key, a value of the wrong type, or stored columns that differ
     from the ones the statistics define is a DataError.
     """
-    fmt = data.get("format") if isinstance(data, dict) else None
-    if fmt != SCHEMA_FORMAT:
-        raise DataError(f"unsupported schema format {fmt!r}")
-    numeric, categorical, lab_panels = (
-        _field(data, key, dict, "schema") for key in ("numeric", "categorical", "lab_panels")
-    )
-    schema = FeatureSchema(
-        numeric={
-            name: _stats(NumericStats, numeric, name, "schema.numeric")
+    require_format(data, SCHEMA_FORMAT, "schema")
+    numeric, categorical, lab_panels, *rest = require_keys(data, _SCHEMA_KINDS, "schema")
+    for key in ("problem_codes", "columns", "lr_columns"):
+        require_each(data[key], STRING, f"schema.{key}")
+    schema = FeatureSchema(  # the fields in the order of _SCHEMA_KINDS
+        {
+            name: NumericStats(*require_keys(require(numeric, name, OBJECT, "schema.numeric"),
+                                             _NUMERIC_KINDS, f"schema.numeric.{name}"))
             for name in dict.fromkeys([*numeric, *NUMERIC_VARIABLES, "time_between_visits"])
         },
-        categorical={
-            var: _field(categorical, var, list, "schema.categorical")
+        {
+            var: require_each(require(categorical, var, LIST, "schema.categorical"), STRING,
+                              f"schema.categorical.{var}")
             for var in dict.fromkeys([*categorical, *DEMOGRAPHIC_NAMES])
         },
-        lab_panels={
-            panel: _stats(LabStats, lab_panels, panel, "schema.lab_panels") for panel in lab_panels
+        {
+            panel: LabStats(*require_keys(stats, _LAB_KINDS, f"schema.lab_panels.{panel}"))
+            for panel, stats in require_each(lab_panels, OBJECT, "schema.lab_panels").items()
         },
-        problem_codes=_field(data, "problem_codes", list, "schema"),
-        columns=_field(data, "columns", list, "schema"),
-        lr_columns=_field(data, "lr_columns", list, "schema"),
-        n_encounters=_field(data, "n_encounters", int, "schema"),
-        n_samples=_field(data, "n_samples", int, "schema"),
+        *rest,
     )
     if (schema.columns, schema.lr_columns) != _layout(schema):
         raise DataError("schema columns differ from the ones its statistics define")

@@ -13,8 +13,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import derive_seed, format_number, read_config, write_csv
-from .ehr_core import DataError
+from .artifacts import (
+    INTEGER, LIST, NUMBER, OBJECT, STRING, DataError, derive_seed, format_number, read_config,
+    require, require_each, require_format, require_keys, write_csv,
+)
+from .featurize import schema_from_dict, schema_to_dict
 from .nnet import (
     GATES,
     LrParams,
@@ -384,8 +387,6 @@ def model_to_dict(model_kind: str, params, schema, training: dict) -> dict:
     """Versioned model artifact: weights at full precision plus the
     feature schema, so inference needs no other files. LSTM weights are
     stored per gate (W_i ... b_g), split from the fused blocks."""
-    from .featurize import schema_to_dict
-
     if model_kind == "lr":
         shapes = {"n_features": int(params.w.shape[0])}
         weights = {"w": params.w.tolist(), "b": params.b}
@@ -406,23 +407,19 @@ def model_to_dict(model_kind: str, params, schema, training: dict) -> dict:
 
 
 def _weight(weights: dict, name: str, shape: tuple) -> np.ndarray | float:
-    """One stored weight, checked against its expected shape."""
-    if name not in weights:
-        raise DataError(f"model weights lack {name}")
-    try:
-        value = np.asarray(weights[name], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DataError(f"model weight {name} is not a numeric array") from None
-    if value.shape != shape:
-        raise DataError(f"model weight {name} has shape {value.shape}, expected {shape}")
-    return float(value) if shape == () else value
+    """One stored weight, checked against its shape; entries are numbered row-major."""
+    value = require(weights, name, LIST if shape else NUMBER, "model.weights")
+    array = np.array(value, dtype=object)
+    if array.shape != shape:
+        raise DataError(f"model weight {name} has shape {array.shape}, expected {shape}")
+    require_each(array.ravel().tolist(), NUMBER, f"model.weights.{name}")
+    return array.astype(np.float64) if shape else float(value)
 
 
-def _shape(shapes: dict, name: str) -> int:
-    value = shapes.get(name)
-    if type(value) is not int or value <= 0:
-        raise DataError(f"model shapes.{name} must be a positive integer, got {value!r}")
-    return value
+#: The JSON types of the keys of a model file, and of its shapes by model kind.
+_MODEL_KINDS = {"kind": STRING, "shapes": OBJECT, "weights": OBJECT, "schema": OBJECT,
+                "training": OBJECT}
+_SHAPE_KINDS = {"lr": {"n_features": INTEGER}, "lstm": {"n_features": INTEGER, "hidden": INTEGER}}
 
 
 def model_from_dict(data: dict):
@@ -432,22 +429,19 @@ def model_from_dict(data: dict):
     gates are joined, and the shapes against the schema's feature width,
     so a damaged file is a DataError.
     """
-    from .featurize import schema_from_dict
-
-    fmt = data.get("format") if isinstance(data, dict) else None
-    if fmt != MODEL_FORMAT:
-        raise DataError(f"unsupported model format {fmt!r}")
-    for key in ("kind", "shapes", "weights", "schema", "training"):
-        if key not in data:
-            raise DataError(f"model lacks {key}")
-    kind, shapes, weights = data["kind"], data["shapes"], data["weights"]
-    if not isinstance(shapes, dict) or not isinstance(weights, dict):
-        raise DataError("model shapes and weights must be JSON objects")
+    require_format(data, MODEL_FORMAT, "model")
+    kind, shapes, weights, schema, training = require_keys(data, _MODEL_KINDS, "model")
+    if kind not in _SHAPE_KINDS:
+        raise DataError(f"unknown model kind {kind!r}")
+    dims = require_keys(shapes, _SHAPE_KINDS[kind], "model.shapes")
+    for name, value in zip(_SHAPE_KINDS[kind], dims):
+        if value <= 0:
+            raise DataError(f"model shapes.{name} must be a positive integer, got {value!r}")
     if kind == "lr":
-        F = _shape(shapes, "n_features")
+        (F,) = dims
         params = LrParams(w=_weight(weights, "w", (F,)), b=_weight(weights, "b", ()))
-    elif kind == "lstm":
-        F, H = _shape(shapes, "n_features"), _shape(shapes, "hidden")
+    else:
+        F, H = dims
         blocks = {"W": (F, H), "U": (H, H), "b": (H,)}
         fused = {
             name: np.concatenate(
@@ -460,13 +454,11 @@ def model_from_dict(data: dict):
             dense_w=_weight(weights, "dense_w", (H,)),
             dense_b=_weight(weights, "dense_b", ()),
         )
-    else:
-        raise DataError(f"unknown model kind {kind!r}")
-    schema = schema_from_dict(data["schema"])
+    schema = schema_from_dict(schema)
     width = schema.lr_width if kind == "lr" else schema.width
     if F != width:
         raise DataError(f"model shapes.n_features is {F}, but its schema makes {width} features")
-    return kind, params, schema, data["training"]
+    return kind, params, schema, training
 
 
 def save_model(path, model_kind: str, params, schema, training: dict) -> None:

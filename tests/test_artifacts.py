@@ -7,17 +7,27 @@ from dataclasses import dataclass
 import pytest
 
 from htnrisk.artifacts import (
+    BOOL,
+    INTEGER,
+    LIST,
+    NULL,
+    NUMBER,
+    OBJECT,
+    STRING,
+    DataError,
     canonical_json,
     derive_seed,
     format_number,
     read_config,
     read_json,
     read_kv_config,
+    require,
+    require_each,
+    require_keys,
     sha256_file,
     write_json,
     write_manifest,
 )
-from htnrisk.ehr_core import DataError
 
 
 def test_canonical_json_sorts_keys_and_strips_whitespace():
@@ -52,6 +62,71 @@ def test_read_json_rejects_the_non_finite_tokens_write_json_never_writes(tmp_pat
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=f"not valid JSON: {token} is not a number"):
         read_json(path)
+
+
+# -- checks of loaded JSON ----------------------------------------------------
+
+def _message(check, *args) -> str:
+    with pytest.raises(DataError) as raised:
+        check(*args)
+    message = str(raised.value)
+    assert "\n" not in message
+    return message
+
+
+def test_require_returns_a_value_of_an_allowed_json_type():
+    assert require({"n": 3}, "n", NUMBER, "x") == 3
+    assert require({"n": 2.5}, "n", NUMBER, "x") == 2.5
+    assert require({"n": None}, "n", NUMBER | NULL, "x") is None
+    assert require({"flag": False}, "flag", BOOL, "x") is False
+
+
+@pytest.mark.parametrize("kinds", [NUMBER, INTEGER, NUMBER | NULL])
+def test_a_bool_is_never_a_number(kinds):
+    assert _message(require, {"n": True}, "n", kinds, "x").startswith("x n True is not ")
+    assert _message(require_each, [1, False], kinds, "x").startswith("x[1] False is not ")
+
+
+def test_an_int_is_a_number_but_a_float_is_not_an_integer():
+    assert require_each([1, 2.5, -3], NUMBER, "x") == [1, 2.5, -3]
+    assert _message(require, {"n": 2.0}, "n", INTEGER, "x") == "x n 2.0 is not an integer"
+
+
+@pytest.mark.parametrize(
+    ("value", "kinds", "message"),
+    [
+        ("high", NUMBER | NULL, "encounter systolic 'high' is not a number or null"),
+        ("a\nb", INTEGER, "encounter systolic 'a\\nb' is not an integer"),
+        (None, STRING, "encounter systolic None is not a string"),
+        (1.5, STRING | NULL, "encounter systolic 1.5 is not a string or null"),
+        ([1, 2], NUMBER, "encounter systolic is not a number"),
+        ({"a": 1}, LIST, "encounter systolic is not a list"),
+        (0, BOOL, "encounter systolic 0 is not true or false"),
+        ("x", OBJECT, "encounter systolic 'x' is not an object"),
+    ],
+)
+def test_a_wrong_type_echoes_a_scalar_but_not_a_list_or_object(value, kinds, message):
+    assert _message(require, {"systolic": value}, "systolic", kinds, "encounter") == message
+
+
+def test_require_names_a_missing_key_and_a_container_that_is_not_an_object():
+    assert _message(require, {}, "date", STRING, "encounter") == "encounter lacks date"
+    assert _message(require, [1], "date", STRING, "encounter") == "encounter is not an object"
+    assert _message(require, 7, "date", STRING, "encounter") == "encounter 7 is not an object"
+
+
+def test_require_keys_returns_the_values_in_table_order_and_fails_as_require_does():
+    table = {"b": INTEGER, "a": STRING}
+    assert require_keys({"a": "s", "b": 1, "c": None}, table, "x") == [1, "s"]
+    for obj in ({"a": "s"}, {"a": "s", "b": True}, ["a"], "ab", None):
+        assert _message(require_keys, obj, table, "x") == _message(require, obj, "b", INTEGER, "x")
+
+
+def test_require_each_names_the_first_item_or_value_of_another_type():
+    assert require_each({"k": "v"}, STRING, "x") == {"k": "v"}
+    assert require_each([], STRING, "x") == []
+    assert _message(require_each, ["a", 1, None], STRING, "x") == "x[1] 1 is not a string"
+    assert _message(require_each, {"k": "v", "m": []}, STRING, "x") == "x m is not a string"
 
 
 def test_derive_seed_matches_the_documented_recipe():
@@ -145,6 +220,9 @@ _BAD_LINES = [
     ("hidden_size=1.5", "hidden_size='1.5' is not a valid int"),
     ("learning_rate=fast", "learning_rate='fast' is not a valid float"),
     ("momentum=0.9", "unknown config key 'momentum'"),
+    ("learning_rate=nan", "learning_rate='nan' is not a valid float"),
+    ("learning_rate=inf", "learning_rate='inf' is not a valid float"),
+    ("learning_rate=-Infinity", "learning_rate='-Infinity' is not a valid float"),
 ]
 
 

@@ -526,6 +526,8 @@ _BAD_GENERATOR_SETTINGS = [
     ("miss_bp=2", "miss_bp must be in [0, 1], got 2.0"),
     ("hi_prob=-0.1", "hi_prob must be in [0, 1], got -0.1"),
     ("deceased_rate=0.95", "last_gap_rate sum to 1.06, more than 1"),
+    ("gap_mean=inf", "gap_mean='inf' is not a valid float"),
+    ("noise_sd=nan", "noise_sd='nan' is not a valid float"),
 ]
 
 
@@ -539,6 +541,22 @@ def test_bad_generator_config_is_a_usage_error(tmp_path, capsys, setting, messag
     err = capsys.readouterr().err
     assert err.startswith("error: generate: ") and err.endswith(f"{message}\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", ["learning_rate=nan", "l1_lambda=inf"])
+def test_non_finite_training_config_is_a_usage_error_before_any_input_is_read(
+    tmp_path, capsys, setting
+):
+    config = tmp_path / "train.kv"
+    config.write_text(setting + "\n", encoding="utf-8")
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    assert main(["train", "--model", "lr", "--samples", missing, "--schema", missing,
+                 "--config", str(config), "--out", str(out)]) == 1
+    key, value = setting.split("=")
+    assert capsys.readouterr().err == (
+        f"error: train: {config}: {key}={value!r} is not a valid float\n"
+    )
+    assert not out.exists()
 
 
 def test_nonpositive_patient_count_is_a_data_error(tmp_path, capsys):
@@ -694,8 +712,9 @@ _DAMAGED_SAMPLES = [
                  id="patients-list"),
     pytest.param(lambda d: d.update(samples={}), "samples file samples is not a list",
                  id="samples-object"),
-    pytest.param(_drop_sample_patient, "is not an object with patient, target_index",
-                 id="sample-without-patient"),
+    pytest.param(lambda d: d.update(format="htnrisk-samples/2"),
+                 "unsupported samples format 'htnrisk-samples/2'", id="samples-format"),
+    pytest.param(_drop_sample_patient, "sample lacks patient", id="sample-without-patient"),
     pytest.param(_damage_encounter("date"), "encounter lacks date", id="encounter-without-date"),
     pytest.param(_damage_encounter("date", "2020-13-01"),
                  "encounter date '2020-13-01' is not an ISO date", id="month-13"),
@@ -741,7 +760,7 @@ def _evaluate_damaged_lstm(pipeline, tmp_path, damage) -> int:
 
 def test_model_missing_a_gate_weight_is_a_data_error(pipeline, tmp_path, capsys):
     assert _evaluate_damaged_lstm(pipeline, tmp_path, lambda w: w.pop("W_i")) == 2
-    assert capsys.readouterr().err == "error: evaluate: model weights lack W_i\n"
+    assert capsys.readouterr().err == "error: evaluate: model.weights lacks W_i\n"
 
 
 def test_gate_weight_of_the_wrong_shape_is_a_data_error(pipeline, tmp_path, capsys):
@@ -755,11 +774,47 @@ def test_gate_weight_of_the_wrong_shape_is_a_data_error(pipeline, tmp_path, caps
     )
 
 
+def _set(*path, value):
+    """Set the node of a model file at `path` to `value`."""
+    def damage(model):
+        node = model
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return damage
+
+
+_DAMAGED_MODELS = [
+    pytest.param("lstm", _set("weights", "dense_b", value=True),
+                 "model.weights dense_b True is not a number", id="lstm-bool-bias"),
+    pytest.param("lstm", _set("weights", "dense_b", value="1e-3"),
+                 "model.weights dense_b '1e-3' is not a number", id="lstm-string-bias"),
+    pytest.param("lstm", _set("weights", "W_i", 0, 0, value="0.25"),
+                 "model.weights.W_i[0] '0.25' is not a number", id="lstm-string-kernel-entry"),
+    pytest.param("lstm", _set("weights", "U_f", 1, 2, value=None),  # row-major: 1 * 8 + 2
+                 "model.weights.U_f[10] None is not a number", id="lstm-null-recurrent-entry"),
+    pytest.param("lr", _set("weights", "w", 0, value=False),
+                 "model.weights.w[0] False is not a number", id="lr-bool-weight"),
+    pytest.param("lstm", _set("training", value=[]), "model training is not an object",
+                 id="training-list"),
+    pytest.param("lr", _set("format", value="htnrisk-model/2"),
+                 "unsupported model format 'htnrisk-model/2'", id="model-format"),
+    pytest.param("lr", _set("schema", "format", value=None), "unsupported schema format None",
+                 id="schema-format"),
+]
+
+
+@pytest.mark.parametrize(("kind", "damage", "message"), _DAMAGED_MODELS)
+def test_damaged_model_is_a_data_error(pipeline, tmp_path, capsys, kind, damage, message):
+    assert _evaluate_damaged_model(pipeline, tmp_path, damage, kind) == 2
+    assert capsys.readouterr().err == f"error: evaluate: {message}\n"
+
+
 def test_schema_missing_a_key_is_a_data_error(pipeline, tmp_path, capsys):
     damage = lambda model: model["schema"].pop("numeric")
     assert _evaluate_damaged_model(pipeline, tmp_path, damage) == 2
     assert capsys.readouterr().err == (
-        "error: evaluate: schema.numeric is missing or not an object\n"
+        "error: evaluate: schema lacks numeric\n"
     )
 
 
@@ -769,7 +824,7 @@ def test_schema_value_of_the_wrong_type_is_a_data_error(pipeline, tmp_path, caps
 
     assert _evaluate_damaged_model(pipeline, tmp_path, retype) == 2
     assert capsys.readouterr().err == (
-        "error: evaluate: schema.numeric.systolic.mean is missing or not a number\n"
+        "error: evaluate: schema.numeric.systolic mean 'high' is not a number\n"
     )
 
 
@@ -931,6 +986,9 @@ _BAD_FLAGS = [
      "--steps must be positive"),
     ("attribute-lr-zero-steps", ["attribute", "--model", "LR_MODEL", "--steps", "0"],
      "--steps must be positive"),
+    ("evaluate-nan-threshold", ["evaluate", "--model", "LR_MODEL", "--samples", "MISSING",
+                                "--threshold", "nan"],
+     "--threshold must be a finite number, got nan"),
 ]
 
 

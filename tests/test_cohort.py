@@ -6,6 +6,7 @@ from collections import Counter
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,15 @@ from htnrisk.cohort import (
     write_exclusion_report,
 )
 from htnrisk.ehr_core import TABLE_COLUMNS, DataError, merge_patient_timeline, parse_table
-from htnrisk.featurize import featurize_lr, featurize_sequences, fit_schema
+from htnrisk.featurize import (
+    featurize_lr,
+    featurize_sequences,
+    fit_schema,
+    schema_from_dict,
+    schema_to_dict,
+)
+from htnrisk.nnet import LrParams, init_lstm_params
+from htnrisk.train import model_from_dict, model_inputs, model_to_dict, predict_proba
 
 FIXTURE = Path(__file__).parent / "data" / "cohort_fixture"
 
@@ -415,7 +424,7 @@ def test_exclusion_rules_tuple_is_the_cascade_order():
     )
 
 
-# -- samples file loader contract -----------------------------------------------------
+# -- loader contracts: the samples, schema and model files --------------------------
 
 def _json_nodes(node, path=()):
     """The path of every node of a JSON tree, the root included."""
@@ -433,17 +442,17 @@ def _json_type(value) -> str:
 _DELETE = object()
 _REPLACEMENTS = (None, 0, "x", [], {}, True)
 _CLEAN_SAMPLES = cohort_to_dict(_load_fixture_cohort()[0])
-_CLEAN_SCHEMA = fit_schema(cohort_from_dict(_CLEAN_SAMPLES).samples_in("train"))
+_TRAIN_SAMPLES = cohort_from_dict(_CLEAN_SAMPLES).samples_in("train")
+_CLEAN_SCHEMA = fit_schema(_TRAIN_SAMPLES)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_damaged_samples_load_and_featurize_or_raise_data_error_property(data):
-    # One node at any depth is deleted, if it is an object key, or replaced
-    # by a value of another JSON type. Loading the file and featurizing its
-    # samples with the clean schema then either works or is a DataError.
-    damaged = copy.deepcopy(_CLEAN_SAMPLES)
-    path = data.draw(st.sampled_from(list(_json_nodes(damaged))))
+def _damaged(data, tree, within=()):
+    """A copy of `tree` with one node deleted, if it is an object key, or
+    replaced by a value of another JSON type. The node is drawn from those
+    whose path starts with one of the keys `within`, or from all of them."""
+    damaged = copy.deepcopy(tree)
+    paths = [p for p in _json_nodes(damaged) if not within or (p and p[0] in within)]
+    path = data.draw(st.sampled_from(paths))
     parent = damaged
     for key in path[:-1]:
         parent = parent[key]
@@ -453,14 +462,70 @@ def test_damaged_samples_load_and_featurize_or_raise_data_error_property(data):
         damages.append(_DELETE)
     damage = data.draw(st.sampled_from(damages))
     if not path:
-        damaged = damage
-    elif damage is _DELETE:
+        return damage
+    if damage is _DELETE:
         del parent[path[-1]]
     else:
         parent[path[-1]] = copy.deepcopy(damage)
+    return damaged
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_samples_load_and_featurize_or_raise_data_error_property(data):
+    # One node at any depth is deleted or retyped. Loading the file and
+    # featurizing its samples with the clean schema then either works or
+    # is a DataError.
+    damaged = _damaged(data, _CLEAN_SAMPLES)
     try:
         cohort = cohort_from_dict(damaged)
         featurize_sequences(cohort.samples, _CLEAN_SCHEMA)
         featurize_lr(cohort.samples, _CLEAN_SCHEMA)
     except DataError:
         pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_schema_loads_and_featurizes_or_raises_data_error_property(data):
+    damaged = _damaged(data, schema_to_dict(_CLEAN_SCHEMA))
+    try:
+        schema = schema_from_dict(damaged)
+        featurize_sequences(_TRAIN_SAMPLES, schema)
+        featurize_lr(_TRAIN_SAMPLES, schema)
+    except DataError:
+        pass
+
+
+def _clean_model(kind: str) -> dict:
+    rng = np.random.default_rng(0)
+    if kind == "lr":
+        params = LrParams(w=rng.standard_normal(_CLEAN_SCHEMA.lr_width), b=0.25)
+    else:
+        params = init_lstm_params(_CLEAN_SCHEMA.width, 2, rng)
+    return model_to_dict(kind, params, _CLEAN_SCHEMA, {"epochs_run": 1, "stop_reason": "max"})
+
+
+_CLEAN_MODELS = {kind: _clean_model(kind) for kind in ("lr", "lstm")}
+
+
+@pytest.mark.parametrize("kind", ["lr", "lstm"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_model_loads_and_scores_or_raises_data_error_property(kind, data):
+    damaged = _damaged(data, _CLEAN_MODELS[kind])
+    try:
+        loaded, params, schema, _ = model_from_dict(damaged)
+        predict_proba(loaded, params, model_inputs(loaded, _TRAIN_SAMPLES, schema)[0])
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("kind", ["lr", "lstm"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_model_weights_or_shapes_raise_data_error_property(kind, data):
+    # No weight or shape survives a deletion or a change of JSON type.
+    damaged = _damaged(data, _CLEAN_MODELS[kind], within=("weights", "shapes"))
+    with pytest.raises(DataError):
+        model_from_dict(damaged)
