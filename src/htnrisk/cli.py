@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_json, write_manifest
+from .artifacts import read_config, read_json, write_json, write_manifest
 from .cohort import (
     DEFAULT_SPLIT_FRACTIONS,
     HORIZON_DAYS,
@@ -43,6 +43,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+#: The exit code of each error a stage may raise; the first type that
+#: matches wins. A UnicodeDecodeError is a ValueError (usage), and
+#: TrainingDiverged a NumericalError.
+_EXIT_CODES = (
+    (DataError, EXIT_DATA),
+    (NumericalError, EXIT_NUMERIC),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_DATA),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this pipeline
@@ -60,6 +70,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _config(default, path, overrides: dict):
+    """`default` with the fields the key=value file at `path` (if any)
+    sets, and then `overrides`: a flag wins over the file."""
+    from_file = read_config(type(default), path) if path else {}
+    return replace(default, **{**from_file, **overrides})
+
+
 def _load_cohort(path, *splits):
     return cohort_from_dict(read_json(path), splits)
 
@@ -75,17 +92,14 @@ def _evaluation_samples(path, split):
 # -- generate -------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    from .synth import GeneratorConfig, generator_config_from_file, write_cohort
+    from .synth import GeneratorConfig, write_cohort
 
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.patients is not None:
         overrides["n_patients"] = args.patients
-    if args.config:
-        config = generator_config_from_file(args.config, overrides)
-    else:
-        config = GeneratorConfig(**overrides)
+    config = _config(GeneratorConfig(), args.config, overrides)
     if config.n_patients <= 0:
         raise DataError("empty cohort: n_patients must be positive")
     out = _out_dir(args)
@@ -216,7 +230,6 @@ def cmd_train(args) -> int:
     from .featurize import schema_from_dict
     from .train import (
         TrainingDiverged,
-        config_from_file,
         default_config,
         grid_results_to_csv,
         grid_search,
@@ -230,10 +243,7 @@ def cmd_train(args) -> int:
         overrides["seed"] = args.seed
     if args.epochs is not None:
         overrides["max_epochs"] = args.epochs
-    if args.config:
-        config = config_from_file(args.config, overrides)
-    else:
-        config = replace(default_config(args.model), **overrides)
+    config = _config(default_config(args.model), args.config, overrides)
     cohort = _load_cohort(args.samples, "train", "validation")
     schema = schema_from_dict(read_json(args.schema))
     train_data, val_data = (
@@ -472,18 +482,9 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except DataError as err:
+    except tuple(kind for kind, _ in _EXIT_CODES) as err:
         print(f"error: {stage}: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as err:
-        print(f"error: {stage}: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"error: {stage}: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
-        print(f"error: {stage}: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
     finally:
         if collecting:
             gc.enable()

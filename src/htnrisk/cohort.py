@@ -15,8 +15,8 @@ from enum import IntEnum
 import numpy as np
 
 from .artifacts import (
-    BOOL, INTEGER, LIST, OBJECT, STRING, derive_seed, require, require_format, require_keys,
-    write_csv,
+    BOOL, INTEGER, LIST, OBJECT, STRING, derive_seed, require, require_each, require_format,
+    require_keys, write_csv,
 )
 from .ehr_core import DataError, EncounterRecord, PatientId, encounter_from_dict, encounter_to_dict
 
@@ -347,15 +347,34 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
     The returned cohort holds those patients' timelines, split assignments
     and samples. Every patient entry and sample row of the file is still
     checked: a missing key or a value of another JSON type in the top level,
-    a patient entry or a sample row, an unknown split name, a sample of an
-    unknown patient, a target index outside its patient's timeline (or at
-    0, which leaves no history) and a label other than 0 or 1 are each a
-    DataError, as is an encounter that `encounter_from_dict` rejects among
-    the decoded ones.
+    a patient entry or a sample row, a horizon below one day, a tally whose
+    keys are not EXCLUSION_RULES or whose counts are not non-negative
+    integers, a total below the patients plus the excluded, an unknown
+    split name, a sample of an unknown patient, a target index outside its
+    patient's timeline (or at 0, which leaves no history) and a label other
+    than 0 or 1 are each a DataError, as is an encounter that
+    `encounter_from_dict` rejects among the decoded ones.
     """
     require_format(data, SAMPLES_FORMAT, "samples")
     horizon_days, total_patients, tally, patients, rows = require_keys(
         data, _FILE_KINDS, "samples file")
+    if horizon_days < 1:
+        raise DataError(f"samples file horizon_days must be at least 1, got {horizon_days}")
+    require_each(tally, INTEGER, "samples file exclusion_tally")
+    if sorted(tally) != sorted(EXCLUSION_RULES):
+        raise DataError(
+            f"samples file exclusion_tally has keys {sorted(tally)}, "
+            f"expected {sorted(EXCLUSION_RULES)}"
+        )
+    for rule, count in tally.items():
+        if count < 0:
+            raise DataError(f"samples file exclusion_tally {rule} {count} is negative")
+    excluded = sum(tally.values())
+    if total_patients < len(patients) + excluded:
+        raise DataError(
+            f"samples file total_patients {total_patients} is less than its "
+            f"{len(patients)} patients plus {excluded} excluded"
+        )
     lengths = {}
     timelines = {}
     kept_splits = {}

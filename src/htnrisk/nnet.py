@@ -2,8 +2,10 @@
 
 Forward passes, hand-derived backward passes (backpropagation through
 time for the LSTM), weighted binary cross-entropy evaluated in log-space
-from logits, an L1 penalty on kernel weights, and inverted dropout on the
-final hidden state. Everything is 64-bit numpy; a non-finite value at any
+from logits, and inverted dropout on the final hidden state. The loss
+functions return that data term only: the training loop adds the L1
+penalty on the input kernel, the block that leads each model's flat
+parameter vector. Everything is 64-bit numpy; a non-finite value at any
 point raises instead of propagating.
 """
 
@@ -87,34 +89,20 @@ def lr_logits(params: LrParams, X: Matrix) -> np.ndarray:
     return X @ params.w + params.b
 
 
-def lr_forward(params: LrParams, X: Matrix) -> np.ndarray:
-    """Probabilities for a batch (n, F) -> (n,)."""
-    return sigmoid(lr_logits(params, X))
-
-
-def lr_l1_penalty(params: LrParams, lam: float) -> float:
-    # Kernel only: the bias is never penalized.
-    return lam * float(np.abs(params.w).sum())
-
-
 def lr_loss_and_grads(
     params: LrParams,
     X: Matrix,
     y: np.ndarray,
     sample_weights: np.ndarray,
-    lam: float = 0.0,
 ) -> tuple[float, LrParams]:
-    """Mean weighted BCE + L1, with exact analytic gradients.
-
-    The L1 subgradient uses sign(w) with sign(0) = 0.
-    """
+    """Mean weighted BCE, with exact analytic gradients."""
     X = np.atleast_2d(X)
     n = X.shape[0]
     z = lr_logits(params, X)
     p = sigmoid(z)
-    loss = float(np.mean(weighted_bce(z, y, sample_weights))) + lr_l1_penalty(params, lam)
+    loss = float(np.mean(weighted_bce(z, y, sample_weights)))
     dz = sample_weights * (p - y) / n
-    grad_w = X.T @ dz + lam * np.sign(params.w)
+    grad_w = X.T @ dz
     grad_b = float(dz.sum())
     _require_finite("lr gradients", grad_w, np.array([grad_b, loss]))
     return loss, LrParams(w=grad_w, b=grad_b)
@@ -402,36 +390,22 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dlogits: np.ndarray) -> Ls
     )
 
 
-def lstm_l1_penalty(params: LstmParams, lam: float) -> float:
-    # Input kernel W only; the recurrent kernel and biases are exempt.
-    return lam * float(np.abs(params.W).sum())
-
-
 def lstm_loss_and_grads(
     params: LstmParams,
     X: Matrix,
     y: np.ndarray,
     sample_weights: np.ndarray,
-    lam: float = 0.0,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, LstmParams]:
-    """Mean weighted BCE + L1 over a batch, with exact BPTT gradients."""
+    """Mean weighted BCE over a batch, with exact BPTT gradients."""
     p, tape = lstm_forward(params, X, dropout_rate, rng)
     n = p.shape[0]
     loss = float(np.mean(weighted_bce(tape.logits, y, sample_weights)))
-    loss += lstm_l1_penalty(params, lam)
     dlogits = np.asarray(sample_weights) * (p - np.asarray(y, dtype=np.float64)) / n
     grads = lstm_backward(params, tape, dlogits)
-    if lam > 0.0:
-        grads.W += lam * np.sign(params.W)
     _require_finite("lstm loss", np.array([loss]))
     return loss, grads
-
-
-def lstm_predict_proba(params: LstmParams, X: Matrix) -> np.ndarray:
-    """Evaluation-mode probabilities (dropout disabled), without a tape."""
-    return sigmoid(lstm_logits(params, X))
 
 
 def lstm_input_gradients(params: LstmParams, X: Matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -23,14 +23,14 @@ that to generate contiguous blocks of patients on all usable cores.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import derive_seed, read_config
+from .artifacts import derive_seed
 from .ehr_core import (
     TABLE_COLUMNS,
     DiagnosisEvent,
@@ -161,13 +161,6 @@ _PROBABILITY_FIELDS = tuple(
 _ROLE_RATES = tuple(
     name for name in _PROBABILITY_FIELDS if name.endswith("_rate") and not name.startswith("miss_")
 )
-
-
-def generator_config_from_file(path, overrides: dict | None = None) -> GeneratorConfig:
-    """Load a flat key=value config; keys are GeneratorConfig field names,
-    and `overrides` win over the file."""
-    values = {**read_config(GeneratorConfig, path), **(overrides or {})}
-    return replace(GeneratorConfig(), **values)
 
 
 @dataclass

@@ -4,6 +4,12 @@ Both optimizers operate on flat parameter vectors. The epoch loop
 shuffles with a per-epoch derived seed, steps over minibatches, then
 monitors the weighted validation loss; training stops as soon as the
 epoch-over-epoch improvement is at most 1e-7, or at the epoch cap.
+
+The objective is written once here for both model kinds: the mean
+class-weighted BCE that `nnet` computes from the logits, plus an L1 term
+on the input kernel. That kernel leads the flat vector (`w` of the LR
+model, `W.ravel()` of the LSTM), so the term and its subgradient are one
+slice of the vector, added once per minibatch and to the validation loss.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import nnet
 from .artifacts import (
-    INTEGER, LIST, NUMBER, OBJECT, STRING, DataError, derive_seed, format_number, read_config,
-    require, require_each, require_format, require_keys, write_csv,
+    INTEGER, LIST, NUMBER, OBJECT, STRING, DataError, derive_seed, format_number, require,
+    require_each, require_format, require_keys, write_csv,
 )
 from .featurize import schema_from_dict, schema_to_dict
 from .nnet import (
@@ -25,11 +32,12 @@ from .nnet import (
     NumericalError,
     init_lr_params,
     init_lstm_params,
-    lr_forward,
+    lr_logits,
     lr_loss_and_grads,
+    lstm_logits,
     lstm_loss_and_grads,
-    lstm_predict_proba,
     split_gates,
+    weighted_bce,
 )
 
 EARLY_STOP_DELTA = 1e-7
@@ -87,15 +95,6 @@ def default_config(model_kind: str) -> TrainConfig:
         dropout_rate=0.2,
         optimizer="rmsprop",
     )
-
-
-def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
-    """Load a flat key=value config over the defaults of its model kind;
-    keys are TrainConfig field names, and `overrides` win over the file."""
-    values = {**read_config(TrainConfig, path), **(overrides or {})}
-    if "model_kind" not in values:
-        raise ValueError(f"{path}: missing required key model_kind")
-    return replace(default_config(values["model_kind"]), **values)
 
 
 def model_inputs(model_kind: str, samples, schema) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +230,9 @@ def train_model(
 
     `train_data`/`val_data` are (X, y): X is (n, F) for the lr model and
     (n, 6, F) for the lstm. Class weights come from the training labels
-    and also weight the monitored validation loss.
+    and also weight the monitored validation loss. The L1 term at
+    `l1_lambda` covers the input kernel only: biases, the LSTM's recurrent
+    kernel and its dense head are exempt. Its subgradient takes sign(0) = 0.
     """
     X_train, y_train = train_data
     X_val, y_val = val_data
@@ -244,20 +245,20 @@ def train_model(
     if config.model_kind == "lr":
         params = init_lr_params(X_train.shape[1])
         meta = (X_train.shape[1],)
+        n_kernel = X_train.shape[1]
         from_vector = LrParams.from_vector
-        loss_and_grads = lambda prm, X, y, w, rng: lr_loss_and_grads(
-            prm, X, y, w, config.l1_lambda
-        )
-        val_loss_fn = lambda prm: _lr_val_loss(prm, X_val, y_val, w_val, config.l1_lambda)
+        loss_and_grads = lambda prm, X, y, w, rng: lr_loss_and_grads(prm, X, y, w)
     else:
         init_rng = np.random.default_rng(derive_seed(config.seed, "init"))
         params = init_lstm_params(X_train.shape[2], config.hidden_size, init_rng)
         meta = (X_train.shape[2], config.hidden_size)
+        n_kernel = X_train.shape[2] * 4 * config.hidden_size
         from_vector = LstmParams.from_vector
         loss_and_grads = lambda prm, X, y, w, rng: lstm_loss_and_grads(
-            prm, X, y, w, config.l1_lambda, config.dropout_rate, rng
+            prm, X, y, w, config.dropout_rate, rng
         )
-        val_loss_fn = lambda prm: _lstm_val_loss(prm, X_val, y_val, w_val, config.l1_lambda)
+    lam = config.l1_lambda
+    l1_penalty = lambda vec: lam * float(np.abs(vec[:n_kernel]).sum())
 
     if config.two_phase_adam:
         phases = [
@@ -287,11 +288,15 @@ def train_model(
                 loss, grads = loss_and_grads(
                     params, X_train[batch], y_train[batch], w_train[batch], dropout_rng
                 )
-                vec = step(vec, grads.to_vector(), lr)
+                loss += l1_penalty(vec)
+                grad_vec = grads.to_vector()
+                grad_vec[:n_kernel] += lam * np.sign(vec[:n_kernel])
+                vec = step(vec, grad_vec, lr)
                 params = from_vector(vec, *meta)
                 total += loss * len(batch)
             train_loss = total / n
-            val_loss = val_loss_fn(params)
+            val_logits = _logits(config.model_kind, params, X_val)
+            val_loss = float(np.mean(weighted_bce(val_logits, y_val, w_val))) + l1_penalty(vec)
             log.epochs.append(
                 EpochStat(epoch, train_loss, val_loss, time.perf_counter() - started)
             )
@@ -306,24 +311,15 @@ def train_model(
     return params, log
 
 
-def _lr_val_loss(params, X, y, w, lam) -> float:
-    from .nnet import lr_l1_penalty, lr_logits, weighted_bce
-
-    bce = float(np.mean(weighted_bce(lr_logits(params, X), y, w)))
-    return bce + lr_l1_penalty(params, lam)
-
-
-def _lstm_val_loss(params, X, y, w, lam) -> float:
-    from .nnet import lstm_l1_penalty, lstm_logits, weighted_bce
-
-    bce = float(np.mean(weighted_bce(lstm_logits(params, X), y, w)))
-    return bce + lstm_l1_penalty(params, lam)
+def _logits(model_kind: str, params, X: np.ndarray) -> np.ndarray:
+    """Evaluation-mode logits (n,): dropout off, and no tape for the LSTM."""
+    return (lr_logits if model_kind == "lr" else lstm_logits)(params, X)
 
 
 def predict_proba(model_kind: str, params, X: np.ndarray) -> np.ndarray:
-    if model_kind == "lr":
-        return lr_forward(params, X)
-    return lstm_predict_proba(params, X)
+    # nnet.sigmoid is looked up per call, so a wrapper patched onto nnet
+    # (perfbench/tracing.py) sees scoring too.
+    return nnet.sigmoid(_logits(model_kind, params, X))
 
 
 # -- grid search ----------------------------------------------------------------

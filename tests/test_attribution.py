@@ -20,7 +20,8 @@ from htnrisk.attribution import (
     write_ranked_csv,
     write_sequence_attribution_csv,
 )
-from htnrisk.nnet import LrParams, init_lstm_params, lstm_predict_proba
+from htnrisk.nnet import LrParams, init_lstm_params
+from htnrisk.train import predict_proba
 
 
 def _linear_scorer(w):
@@ -166,7 +167,7 @@ def test_lstm_scorer_is_deterministic_and_matches_predict(rng):
     v2, g2 = scorer(points)
     np.testing.assert_array_equal(v1, v2)
     np.testing.assert_array_equal(g1, g2)
-    np.testing.assert_allclose(v1, lstm_predict_proba(params, points), atol=1e-14)
+    np.testing.assert_allclose(v1, predict_proba("lstm", params, points), atol=1e-14)
 
 
 # -- aggregation and ranking -----------------------------------------------------------

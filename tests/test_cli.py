@@ -156,6 +156,25 @@ def test_train_lstm_uses_config_file(pipeline):
     assert model["shapes"]["hidden"] == 8
     assert model["training"]["config"]["hidden_size"] == 8
     assert model["training"]["stop_reason"] in ("early_stop", "max_epochs")
+    # Fields the file leaves out keep the defaults of the --model kind.
+    assert model["training"]["config"]["dropout_rate"] == 0.2
+    assert model["training"]["config"]["optimizer"] == "rmsprop"
+
+
+def test_train_flags_win_over_the_config_file(pipeline, tmp_path):
+    config = tmp_path / "train.kv"
+    config.write_text(
+        "model_kind=lstm\nseed=7\nmax_epochs=50\nlearning_rate=0.01\n", encoding="utf-8"
+    )
+    out = tmp_path / "lr"
+    assert main(["train", "--model", "lr", "--samples", str(pipeline["cohort"] / "samples.json"),
+                 "--schema", str(pipeline["features"] / "schema.json"), "--config", str(config),
+                 "--seed", "3", "--epochs", "1", "--out", str(out)]) == 0
+    trained = read_json(out / "model.json")["training"]["config"]
+    assert (trained["model_kind"], trained["seed"], trained["max_epochs"]) == ("lr", 3, 1)
+    assert trained["learning_rate"] == 0.01
+    # The defaults are those of --model lr, not of the file's model_kind.
+    assert (trained["optimizer"], trained["dropout_rate"]) == ("adam", 0.0)
 
 
 def test_evaluate_stage_artifacts(pipeline):
@@ -543,6 +562,16 @@ def test_bad_generator_config_is_a_usage_error(tmp_path, capsys, setting, messag
     assert err.count("\n") == 1
 
 
+def test_undecodable_config_file_is_a_usage_error(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError: exit 1, although it is raised reading a file.
+    config = tmp_path / "gen.kv"
+    config.write_bytes(b"seed=\xff\n")
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generate: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("setting", ["learning_rate=nan", "l1_lambda=inf"])
 def test_non_finite_training_config_is_a_usage_error_before_any_input_is_read(
     tmp_path, capsys, setting
@@ -707,6 +736,20 @@ def _drop_sample_patient(data):
     del data["samples"][0]["patient"]
 
 
+def _tally(rule, value=None):
+    """Set the exclusion tally's count of `rule`, or delete it."""
+    def damage(data):
+        if value is None:
+            del data["exclusion_tally"][rule]
+        else:
+            data["exclusion_tally"][rule] = value
+    return damage
+
+
+_TALLY_KEYS = ("samples file exclusion_tally has keys {}, expected "
+               "['age', 'deceased', 'last_gap_90d', 'no_vitals', 'records_per_year']")
+
+
 _DAMAGED_SAMPLES = [
     pytest.param(lambda d: d.update(patients=[]), "samples file patients is not an object",
                  id="patients-list"),
@@ -720,6 +763,22 @@ _DAMAGED_SAMPLES = [
                  "encounter date '2020-13-01' is not an ISO date", id="month-13"),
     pytest.param(_damage_encounter("systolic", "high"),
                  "encounter systolic 'high' is not a number or null", id="systolic-text"),
+    pytest.param(lambda d: d.update(horizon_days=0),
+                 "samples file horizon_days must be at least 1, got 0", id="horizon-0"),
+    pytest.param(_tally("deceased", "many"),
+                 "samples file exclusion_tally deceased 'many' is not an integer",
+                 id="tally-text"),
+    pytest.param(_tally("age", True), "samples file exclusion_tally age True is not an integer",
+                 id="tally-bool"),
+    pytest.param(_tally("no_vitals", -1), "samples file exclusion_tally no_vitals -1 is negative",
+                 id="tally-negative"),
+    pytest.param(_tally("bogus", 3), _TALLY_KEYS.format(
+        "['age', 'bogus', 'deceased', 'last_gap_90d', 'no_vitals', 'records_per_year']"),
+                 id="tally-unknown-rule"),
+    pytest.param(_tally("age"), _TALLY_KEYS.format(
+        "['deceased', 'last_gap_90d', 'no_vitals', 'records_per_year']"), id="tally-missing-rule"),
+    pytest.param(lambda d: d.update(total_patients=-5), "samples file total_patients -5 is less",
+                 id="total-negative"),
 ]
 
 
@@ -732,6 +791,23 @@ def test_damaged_samples_file_is_a_data_error(pipeline, tmp_path, capsys, damage
     if message.startswith("encounter"):
         patient = _first_train_patient(read_json(pipeline["cohort"] / "samples.json"))
         assert err == f"error: featurize: patient {patient}: {message}\n"
+
+
+def test_total_patients_must_cover_the_patients_and_the_excluded(pipeline, tmp_path, capsys):
+    data = read_json(pipeline["cohort"] / "samples.json")
+    n_patients, excluded = len(data["patients"]), sum(data["exclusion_tally"].values())
+    least = n_patients + excluded
+
+    def total(value):
+        return lambda d: d.update(total_patients=value)
+
+    assert _featurize_damaged_samples(pipeline, tmp_path, total(least)) == 0
+    capsys.readouterr()
+    assert _featurize_damaged_samples(pipeline, tmp_path, total(least - 1)) == 2
+    assert capsys.readouterr().err == (
+        f"error: featurize: samples file total_patients {least - 1} is less than its "
+        f"{n_patients} patients plus {excluded} excluded\n"
+    )
 
 
 def test_unknown_split_is_a_data_error(pipeline, tmp_path, capsys):

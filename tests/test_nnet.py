@@ -20,15 +20,12 @@ from htnrisk.nnet import (
     NumericalError,
     init_lr_params,
     init_lstm_params,
-    lr_forward,
     lr_logits,
     lr_loss_and_grads,
     lstm_forward,
     lstm_input_gradients,
-    lstm_l1_penalty,
     lstm_logits,
     lstm_loss_and_grads,
-    lstm_predict_proba,
     sigmoid,
     split_gates,
     softplus,
@@ -89,7 +86,7 @@ def test_weighted_bce_extreme_logits_stay_finite():
 
 def test_lr_forward_hand_value():
     params = LrParams(w=np.array([2.0, -1.0]), b=0.5)
-    p = lr_forward(params, np.array([[1.0, 3.0]]))
+    p = sigmoid(lr_logits(params, np.array([[1.0, 3.0]])))
     assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(0.5)), rel=1e-14)
 
 
@@ -104,30 +101,16 @@ def test_lr_gradients_match_finite_differences(rng):
     y = rng.integers(0, 2, size=n).astype(float)
     w = rng.uniform(0.5, 2.0, size=n)
     params = LrParams(w=rng.normal(size=F), b=0.3)
-    _, grads = lr_loss_and_grads(params, X, y, w, lam=0.0)
+    _, grads = lr_loss_and_grads(params, X, y, w)
     vec = params.to_vector()
     gvec = grads.to_vector()
     eps = 1e-6
     for j in range(vec.size):
         step = np.zeros_like(vec); step[j] = eps
-        hi, _ = lr_loss_and_grads(LrParams.from_vector(vec + step, F), X, y, w, 0.0)
-        lo, _ = lr_loss_and_grads(LrParams.from_vector(vec - step, F), X, y, w, 0.0)
+        hi, _ = lr_loss_and_grads(LrParams.from_vector(vec + step, F), X, y, w)
+        lo, _ = lr_loss_and_grads(LrParams.from_vector(vec - step, F), X, y, w)
         numeric = (hi - lo) / (2 * eps)
         assert abs(numeric - gvec[j]) < 1e-8 + 1e-6 * abs(gvec[j])
-
-
-def test_lr_l1_subgradient_is_exact_and_skips_bias(rng):
-    F = 6
-    X = rng.normal(size=(8, F))
-    y = rng.integers(0, 2, size=8).astype(float)
-    w = np.ones(8)
-    params = LrParams(w=np.array([1.5, -2.0, 0.0, 0.25, 0.0, -0.75]), b=1.0)
-    lam = 0.01
-    loss0, g0 = lr_loss_and_grads(params, X, y, w, lam=0.0)
-    loss1, g1 = lr_loss_and_grads(params, X, y, w, lam=lam)
-    assert loss1 - loss0 == pytest.approx(lam * np.abs(params.w).sum(), rel=1e-12)
-    np.testing.assert_allclose(g1.w - g0.w, lam * np.sign(params.w), atol=1e-15)
-    assert g1.b == g0.b  # bias never penalized
 
 
 def test_lr_init_is_zero():
@@ -197,7 +180,10 @@ def test_lstm_init_is_seed_deterministic():
 
 def test_lstm_vector_round_trip(rng):
     params = _random_lstm(rng, n_features=3, hidden=4)
-    restored = LstmParams.from_vector(params.to_vector(), 3, 4)
+    vec = params.to_vector()
+    restored = LstmParams.from_vector(vec, 3, 4)
+    # The input kernel leads the vector: training's L1 term is its first F*4H entries.
+    assert np.array_equal(vec[: 3 * 4 * 4], params.W.ravel())
     for field in dataclasses.fields(LstmParams):
         np.testing.assert_array_equal(
             getattr(restored, field.name), getattr(params, field.name), err_msg=field.name
@@ -292,7 +278,7 @@ def test_lstm_logits_equal_the_taped_forward(n):
     X = np.random.default_rng(n + 1).normal(0.0, 0.5, size=(n, 6, 62))
     logits = lstm_logits(params, X)
     assert np.array_equal(logits, lstm_forward(params, X)[1].logits)
-    assert np.array_equal(lstm_predict_proba(params, X), lstm_forward(params, X)[0])
+    assert np.array_equal(sigmoid(logits), lstm_forward(params, X)[0])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -357,15 +343,15 @@ def test_lstm_parameter_gradients_match_finite_differences(rng):
     F, H = 3, 4
     params = _random_lstm(rng, F, H)
     X, y, w = _random_batch(rng, n=3, T=6, F=F)
-    loss, grads = lstm_loss_and_grads(params, X, y, w, lam=0.0)
+    loss, grads = lstm_loss_and_grads(params, X, y, w)
     vec = params.to_vector()
     gvec = grads.to_vector()
     eps = 1e-5
     worst = 0.0
     for j in range(vec.size):
         step = np.zeros_like(vec); step[j] = eps
-        hi, _ = lstm_loss_and_grads(LstmParams.from_vector(vec + step, F, H), X, y, w, 0.0)
-        lo, _ = lstm_loss_and_grads(LstmParams.from_vector(vec - step, F, H), X, y, w, 0.0)
+        hi, _ = lstm_loss_and_grads(LstmParams.from_vector(vec + step, F, H), X, y, w)
+        lo, _ = lstm_loss_and_grads(LstmParams.from_vector(vec - step, F, H), X, y, w)
         numeric = (hi - lo) / (2 * eps)
         err = abs(numeric - gvec[j]) / (1e-7 + abs(gvec[j]))
         worst = max(worst, err)
@@ -373,36 +359,15 @@ def test_lstm_parameter_gradients_match_finite_differences(rng):
     assert worst < 1e-4
 
 
-def test_lstm_l1_term_is_exact_and_limited_to_input_kernels(rng):
-    F, H = 3, 4
-    params = _random_lstm(rng, F, H)
-    split_gates(params.W)[1][0, 0] = 0.0  # W_f
-    split_gates(params.W)[3][1, 2] = 0.0  # W_g
-    X, y, w = _random_batch(rng, n=3, T=6, F=F)
-    lam = 0.01
-    loss0, g0 = lstm_loss_and_grads(params, X, y, w, lam=0.0)
-    loss1, g1 = lstm_loss_and_grads(params, X, y, w, lam=lam)
-    assert loss1 - loss0 == pytest.approx(lstm_l1_penalty(params, lam), rel=1e-9)
-    for gate, W, dW1, dW0 in zip(
-        GATES, split_gates(params.W), split_gates(g1.W), split_gates(g0.W)
-    ):
-        np.testing.assert_allclose(dW1 - dW0, lam * np.sign(W), atol=1e-15, err_msg=gate)
-    for name in ("U", "b", "dense_w"):
-        np.testing.assert_array_equal(getattr(g1, name), getattr(g0, name))
-    assert g1.dense_b == g0.dense_b
-
-
 def test_lstm_batch_loss_and_grads_average_single_samples(rng):
     F, H = 3, 4
     params = _random_lstm(rng, F, H)
     X, y, w = _random_batch(rng, n=4, T=6, F=F)
-    batch_loss, batch_grads = lstm_loss_and_grads(params, X, y, w, lam=0.0)
+    batch_loss, batch_grads = lstm_loss_and_grads(params, X, y, w)
     losses = []
     gsum = np.zeros_like(batch_grads.to_vector())
     for i in range(4):
-        loss_i, g_i = lstm_loss_and_grads(
-            params, X[i : i + 1], y[i : i + 1], w[i : i + 1], lam=0.0
-        )
+        loss_i, g_i = lstm_loss_and_grads(params, X[i : i + 1], y[i : i + 1], w[i : i + 1])
         losses.append(loss_i)
         gsum += g_i.to_vector()
     assert batch_loss == pytest.approx(np.mean(losses), rel=1e-12)
@@ -414,7 +379,7 @@ def test_lstm_input_gradients_match_finite_differences(rng):
     params = _random_lstm(rng, F, H)
     X = rng.normal(size=(2, 6, F))
     p, dX = lstm_input_gradients(params, X)
-    np.testing.assert_allclose(p, lstm_predict_proba(params, X), atol=1e-14)
+    np.testing.assert_allclose(p, sigmoid(lstm_logits(params, X)), atol=1e-14)
     eps = 1e-6
     for i in range(2):
         for t in range(6):
@@ -422,7 +387,7 @@ def test_lstm_input_gradients_match_finite_differences(rng):
                 hi = X.copy(); hi[i, t, f] += eps
                 lo = X.copy(); lo[i, t, f] -= eps
                 numeric = (
-                    lstm_predict_proba(params, hi)[i] - lstm_predict_proba(params, lo)[i]
+                    sigmoid(lstm_logits(params, hi))[i] - sigmoid(lstm_logits(params, lo))[i]
                 ) / (2 * eps)
                 assert abs(numeric - dX[i, t, f]) < 1e-8
 
@@ -478,7 +443,7 @@ def test_lstm_fused_gradients_equal_per_gate_reference(rng):
     params = _random_lstm(rng, F, H)
     X, y, w = _random_batch(rng, n=4, T=6, F=F)
     dropout_rng = np.random.default_rng(3)
-    _, grads = lstm_loss_and_grads(params, X, y, w, 0.0, 0.3, dropout_rng)
+    _, grads = lstm_loss_and_grads(params, X, y, w, 0.3, dropout_rng)
     p, tape = lstm_forward(params, X, 0.3, np.random.default_rng(3))
     ref, _ = _per_gate_bptt(params, X, w * (p - y) / len(y), tape.mask)
     for kind in ("W", "U", "b"):
@@ -545,9 +510,7 @@ def test_dropout_gradients_still_match_finite_differences(rng):
 
     def loss_at(vec):
         prm = LstmParams.from_vector(vec, F, H)
-        loss, grads = lstm_loss_and_grads(
-            prm, X, y, w, 0.0, rate, np.random.default_rng(99)
-        )
+        loss, grads = lstm_loss_and_grads(prm, X, y, w, rate, np.random.default_rng(99))
         return loss, grads
 
     vec = params.to_vector()

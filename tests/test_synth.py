@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from htnrisk.artifacts import read_config, read_json
+from htnrisk.cli import main
 from htnrisk.cohort import select_cohort
 from htnrisk.ehr_core import merge_patient_timeline, parse_table
 import htnrisk.synth as synth
@@ -15,7 +17,6 @@ from htnrisk.synth import (
     SMOKING,
     GeneratorConfig,
     generate_cohort,
-    generator_config_from_file,
     write_cohort,
 )
 
@@ -295,24 +296,24 @@ def test_generator_config_from_file_coerces_types(tmp_path):
         "# synthetic cohort\nn_patients=25\nphi=0.5\nsystolic_mean=140.5\nseed=9\n",
         encoding="utf-8",
     )
-    config = generator_config_from_file(path)
-    assert config.n_patients == 25 and isinstance(config.n_patients, int)
-    assert config.phi == 0.5 and isinstance(config.phi, float)
-    assert config.systolic_mean == 140.5
-    assert config.seed == 9
-    assert config.visits_min == GeneratorConfig().visits_min  # untouched default
+    values = read_config(GeneratorConfig, path)
+    assert values == {"n_patients": 25, "phi": 0.5, "systolic_mean": 140.5, "seed": 9}
+    assert type(values["n_patients"]) is int and type(values["phi"]) is float
 
 
 def test_generator_config_overrides_win(tmp_path):
     path = tmp_path / "gen.kv"
     path.write_text("n_patients=25\nseed=9\n", encoding="utf-8")
-    config = generator_config_from_file(path, overrides={"n_patients": 50})
-    assert config.n_patients == 50
-    assert config.seed == 9
+    out = tmp_path / "data"
+    assert main(["generate", "--config", str(path), "--patients", "5", "--out", str(out)]) == 0
+    config = read_json(out / "manifest.json")["config"]
+    assert config["n_patients"] == 5
+    assert config["seed"] == 9
+    assert config["visits_min"] == GeneratorConfig().visits_min  # untouched default
 
 
 def test_generator_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "gen.kv"
     path.write_text("n_patients=25\nflux=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key"):
-        generator_config_from_file(path)
+        read_config(GeneratorConfig, path)

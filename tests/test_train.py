@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import htnrisk.train as train
+from htnrisk.artifacts import read_config
 from htnrisk.ehr_core import DataError
 from htnrisk.nnet import LrParams, NumericalError
 from htnrisk.train import (
@@ -15,7 +17,6 @@ from htnrisk.train import (
     TrainConfig,
     adam_step,
     class_weights,
-    config_from_file,
     default_config,
     grid_search,
     load_model,
@@ -83,8 +84,8 @@ def test_weighted_loss_equals_unweighted_on_duplicated_multiset(rng):
     y_dup = np.repeat(y, repeats)
     assert len(y_dup) == 36 and y_dup.sum() == 18
 
-    loss_w, grads_w = lr_loss_and_grads(params, X, y, w, lam=0.0)
-    loss_dup, grads_dup = lr_loss_and_grads(params, X_dup, y_dup, np.ones(36), lam=0.0)
+    loss_w, grads_w = lr_loss_and_grads(params, X, y, w)
+    loss_dup, grads_dup = lr_loss_and_grads(params, X_dup, y_dup, np.ones(36))
     assert loss_w == pytest.approx(loss_dup, rel=1e-12)
     np.testing.assert_allclose(grads_w.to_vector(), grads_dup.to_vector(), rtol=1e-12)
 
@@ -205,38 +206,27 @@ def test_config_validation():
 
 
 def test_config_from_file(tmp_path):
+    # The CLI lays these over the defaults of --model; the flags win over
+    # them (tests/test_cli.py::test_train_flags_win_over_the_config_file).
     path = tmp_path / "train.kv"
     path.write_text(
         "model_kind=lstm\nhidden_size=12\nlearning_rate=5e-4\ntwo_phase_adam=true\n",
         encoding="utf-8",
     )
-    config = config_from_file(path)
-    assert config.model_kind == "lstm"
-    assert config.hidden_size == 12
-    assert config.learning_rate == 5e-4
-    assert config.two_phase_adam is True
-    assert config.dropout_rate == 0.2  # untouched defaults come from the model kind
-
-    overridden = config_from_file(path, {"seed": 9, "hidden_size": 6})
-    assert overridden.seed == 9 and overridden.hidden_size == 6
+    assert read_config(TrainConfig, path) == {
+        "model_kind": "lstm", "hidden_size": 12, "learning_rate": 5e-4, "two_phase_adam": True,
+    }
 
     path.write_text("model_kind=lstm\ntwo_phase_adam=ture\n", encoding="utf-8")
     with pytest.raises(ValueError, match="two_phase_adam='ture' is not a valid bool"):
-        config_from_file(path)
+        read_config(TrainConfig, path)
 
 
 def test_config_from_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "train.kv"
     path.write_text("model_kind=lr\nmomentum=0.9\n", encoding="utf-8")
     with pytest.raises(ValueError, match="momentum"):
-        config_from_file(path)
-
-
-def test_config_from_file_requires_model_kind(tmp_path):
-    path = tmp_path / "train.kv"
-    path.write_text("learning_rate=0.1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="model_kind"):
-        config_from_file(path)
+        read_config(TrainConfig, path)
 
 
 # -- training loop ------------------------------------------------------------------
@@ -271,6 +261,67 @@ def test_lstm_training_learns_a_sequence_rule(rng):
     params, _ = train_model(config, (X, y), (X_val, y_val))
     accuracy = np.mean((predict_proba("lstm", params, X_val) >= 0.5) == y_val)
     assert accuracy > 0.95
+
+
+def _first_step(monkeypatch, config, data, init):
+    """(parameter vector, gradient) of the first optimizer step of a
+    one-epoch full-batch run, and its TrainLog; `init` patches the
+    starting parameters."""
+    steps = []
+    for name in ("adam_step", "rmsprop_step"):
+        real = getattr(train, name)
+
+        def captured(vec, grads, state, lr, real=real):
+            steps.append((vec.copy(), grads.copy()))
+            return real(vec, grads, state, lr)
+
+        monkeypatch.setattr(train, name, captured)
+    init(monkeypatch)
+    _, log = train_model(config, data, data)
+    assert len(steps) == 1
+    return (*steps[0], log)
+
+
+def _lr_init(monkeypatch):
+    monkeypatch.setattr(
+        train, "init_lr_params", lambda F: LrParams(w=np.array([1.5, -2.0, 0.0, 0.25]), b=1.0)
+    )
+
+
+def _lstm_init(monkeypatch):
+    real = train.init_lstm_params
+
+    def with_zeros(F, H, rng):
+        params = real(F, H, rng)
+        params.W[0, H] = params.W[1, 3 * H + 2] = 0.0  # one entry of W_f and of W_g
+        return params
+
+    monkeypatch.setattr(train, "init_lstm_params", with_zeros)
+
+
+@pytest.mark.parametrize("kind", ["lr", "lstm"])
+def test_l1_term_is_added_once_to_the_input_kernel(monkeypatch, rng, kind):
+    if kind == "lr":
+        X, y = _separable(rng, n=40)
+        X = np.hstack([X, rng.normal(size=(40, 2))])
+        config = TrainConfig(model_kind="lr", batch_size=40, max_epochs=1)
+        n_kernel, init = 4, _lr_init
+    else:
+        X, y = _sequence_toy(rng, n=40)
+        config = replace(default_config("lstm"), hidden_size=4, batch_size=40, max_epochs=1)
+        n_kernel, init = 3 * 4 * 4, _lstm_init
+    lam = 0.01
+    vec, g_lam, log_lam = _first_step(monkeypatch, replace(config, l1_lambda=lam), (X, y), init)
+    vec0, g_0, log_0 = _first_step(monkeypatch, replace(config, l1_lambda=0.0), (X, y), init)
+    assert np.array_equal(vec, vec0)
+    kernel = vec[:n_kernel]
+    assert 0.0 in kernel and np.count_nonzero(kernel) > 1
+    np.testing.assert_array_equal(g_lam[:n_kernel], g_0[:n_kernel] + lam * np.sign(kernel))
+    assert np.array_equal(g_lam[n_kernel:], g_0[n_kernel:])  # biases, U and the head exempt
+    penalty = lam * np.abs(kernel).sum()
+    assert log_lam.epochs[0].train_loss - log_0.epochs[0].train_loss == pytest.approx(
+        penalty, rel=1e-12
+    )
 
 
 def test_early_stop_fires_on_second_epoch_when_delta_is_huge(rng):
@@ -436,6 +487,8 @@ def test_model_save_load_round_trip(tmp_path, rng, make_timeline):
     save_model(path, "lr", params, schema, {"config": asdict(config)})
     kind, loaded, loaded_schema, training = load_model(path)
     assert kind == "lr"
+    # w leads the vector: training's L1 term is its first F entries.
+    assert np.array_equal(params.to_vector()[: schema.lr_width], params.w)
     np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
     assert schema_to_dict(loaded_schema) == schema_to_dict(schema)
     assert training["config"]["seed"] == 4
