@@ -130,15 +130,16 @@ def cmd_cohort(args) -> int:
     check_fiscal_year_start(args.fiscal_year_start)
     check_horizon(args.horizon)
     data_dir = Path(args.data)
-    events = {}
     row_errors = []
-    for kind in TABLE_COLUMNS:
-        parsed, errors = parse_table(data_dir / f"{kind}.csv", kind)
-        events[kind] = parsed
+
+    def table(kind):
+        # Parsed only when the merge reaches it, and freed when the merge
+        # moves on, so one parsed table is alive at a time.
+        records, errors = parse_table(data_dir / f"{kind}.csv", kind)
         row_errors.extend(errors)
-    timelines, merge_stats = merge_patient_timeline(
-        events["encounters"], events["medications"], events["labs"], events["diagnoses"]
-    )
+        yield from records
+
+    timelines, merge_stats = merge_patient_timeline(*(table(kind) for kind in TABLE_COLUMNS))
     cohort = select_cohort(
         timelines,
         seed=args.seed,
@@ -146,6 +147,7 @@ def cmd_cohort(args) -> int:
         horizon_days=args.horizon,
         fiscal_year_start=args.fiscal_year_start,
     )
+    del timelines  # the cohort keeps the included patients' timelines
     out = _out_dir(args)
     samples_path = out / "samples.json"
     write_json(samples_path, cohort_to_dict(cohort))

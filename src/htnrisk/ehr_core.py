@@ -408,6 +408,10 @@ def merge_patient_timeline(
     date, falling back to the most recent prior encounter; events before
     any encounter are dropped and counted. Inputs are not mutated: the
     returned encounters are copies with fresh indicator sets.
+
+    Each iterable is read once, to its end, before the next one starts:
+    encounters first, then medications, labs and diagnoses. So they may be
+    one-shot generators, and a caller can produce each table lazily.
     """
     timelines: dict[PatientId, list[EncounterRecord]] = {}
     for enc in encounters:

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import weakref
 
 import pytest
 
@@ -15,7 +16,7 @@ import htnrisk.synth as synth
 from htnrisk.artifacts import read_json, sha256_file, write_json
 from htnrisk.cli import build_parser, main
 from htnrisk.cohort import cohort_from_dict
-from htnrisk.ehr_core import DataError
+from htnrisk.ehr_core import TABLE_COLUMNS, DataError
 from htnrisk.nnet import NumericalError
 
 # Small LSTM so the pipeline fixture stays fast.
@@ -640,6 +641,90 @@ def test_short_rows_and_non_finite_readings_are_row_errors(pipeline, tmp_path, c
         f"{n_medications + 2},medications,\"expected 3 cells, got 2\"",
     ]
     assert read_json(out / "manifest.json")["config"]["row_errors"] == 3
+
+
+def test_row_errors_are_reported_in_table_order(pipeline, tmp_path, capsys):
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    expected = ["row,table,message"]
+    for kind in ("encounters", "labs", "diagnoses"):
+        path = data / f"{kind}.csv"
+        header, *rows = _lines(path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("P00001,2013-01-01\n")
+        width = len(header.split(","))
+        expected.append(f'{len(rows) + 2},{kind},"expected {width} cells, got 2"')
+    out = tmp_path / "out"
+    assert main(["cohort", "--data", str(data), "--out", str(out)]) == 0
+    assert (out / "row_errors.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert read_json(out / "manifest.json")["config"]["row_errors"] == 3
+
+
+def test_a_bad_last_table_is_a_data_error_after_the_others_were_merged(
+    pipeline, tmp_path, capsys
+):
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    diagnoses = data / "diagnoses.csv"
+    header, *rows = _lines(diagnoses)
+    code = header.split(",").index("code")
+    diagnoses.write_text(
+        "".join(",".join(c for i, c in enumerate(line.split(",")) if i != code) + "\n"
+                for line in [header, *rows]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["cohort", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cohort: {diagnoses}: missing column(s) code\n"
+    assert not (out / "samples.json").exists()
+
+
+class _Referable(list):
+    """A parsed table a weak reference can point to."""
+
+
+class _ReferableDict(dict):
+    """Merged timelines a weak reference can point to."""
+
+
+def test_cohort_holds_one_parsed_table_at_a_time(pipeline, tmp_path, monkeypatch, capsys):
+    parsed = []  # (kind, weak references to its list and its records), in parse order
+    alive_at_parse = []  # the kinds still alive as each table was parsed
+    merged = []
+    alive_at_serialize = []
+    parse_table, merge, to_dict = cli.parse_table, cli.merge_patient_timeline, cli.cohort_to_dict
+
+    def alive(table, records):
+        # The merge's loop variable may still hold the last record it read.
+        return table() is not None or sum(ref() is not None for ref in records) > 1
+
+    def tracked_parse(path, kind):
+        alive_at_parse.append([k for k, *refs in parsed if alive(*refs)])
+        records, errors = parse_table(path, kind)
+        table = _Referable(records)
+        parsed.append((kind, weakref.ref(table), [weakref.ref(r) for r in records]))
+        return table, errors
+
+    def tracked_merge(*tables):
+        timelines, stats = merge(*tables)
+        timelines = _ReferableDict(timelines)
+        merged.append(weakref.ref(timelines))
+        return timelines, stats
+
+    def tracked_to_dict(cohort):
+        alive_at_serialize.append(merged[0]() is not None)
+        return to_dict(cohort)
+
+    monkeypatch.setattr(cli, "parse_table", tracked_parse)
+    monkeypatch.setattr(cli, "merge_patient_timeline", tracked_merge)
+    monkeypatch.setattr(cli, "cohort_to_dict", tracked_to_dict)
+    out = tmp_path / "out"
+    assert main(["cohort", "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+    assert [kind for kind, *_ in parsed] == list(TABLE_COLUMNS)
+    # main runs the stage with the collector off, so refcounting alone
+    # must free each table before the next is parsed, and every patient's
+    # merged timeline once selection keeps the included ones.
+    assert alive_at_parse == [[]] * len(TABLE_COLUMNS)
+    assert alive_at_serialize == [False]
+    assert (out / "samples.json").read_bytes() == (pipeline["cohort"] / "samples.json").read_bytes()
 
 
 def test_fiscal_year_start_outside_the_months_is_a_usage_error(pipeline, tmp_path, capsys):

@@ -29,7 +29,13 @@ from htnrisk.cohort import (
     split_patients,
     write_exclusion_report,
 )
-from htnrisk.ehr_core import TABLE_COLUMNS, DataError, merge_patient_timeline, parse_table
+from htnrisk.ehr_core import (
+    TABLE_COLUMNS,
+    DataError,
+    encounter_to_dict,
+    merge_patient_timeline,
+    parse_table,
+)
 from htnrisk.featurize import (
     featurize_lr,
     featurize_sequences,
@@ -363,6 +369,78 @@ def test_cohort_does_not_depend_on_the_row_order_of_its_tables_property(
         random.Random(seed).shuffle(rows)
         (shuffled / f"{kind}.csv").write_text(header + "".join(rows), encoding="utf-8")
     assert _cohort_outputs(shuffled) == expected
+
+
+def _merged_tables(data_dir):
+    tables = [parse_table(data_dir / f"{kind}.csv", kind)[0] for kind in TABLE_COLUMNS]
+    return merge_patient_timeline(*tables)[0]
+
+
+def _exclusion_rules(timelines):
+    """Each patient's exclusion rule, or None when the cascade keeps them."""
+    rules = {}
+    for patient, timeline in timelines.items():
+        _, tally = apply_cohort_exclusions({patient: exclude_bp_reading_errors(timeline)})
+        rules[patient] = next((rule for rule, count in tally.items() if count), None)
+    return rules
+
+
+def _per_patient(timelines, cohort):
+    """Timelines, exclusion rules, and each survivor's stored encounters and
+    sample rows; the split is left out."""
+    data = cohort_to_dict(cohort)
+    samples = {}
+    for row in data["samples"]:
+        samples.setdefault(row["patient"], []).append(row)
+    survivors = {
+        patient: (entry["encounters"], samples[patient])
+        for patient, entry in data["patients"].items()
+    }
+    stored = {p: [encounter_to_dict(e) for e in t] for p, t in timelines.items()}
+    return stored, _exclusion_rules(timelines), survivors
+
+
+@pytest.fixture(scope="module")
+def full_cohort(generated_tables, tmp_path_factory):
+    """The sorted patient ids of the generated tables, the per-patient view
+    of their full cohort, and a directory for subset tables."""
+    data_dir = generated_tables[0]
+    timelines = _merged_tables(data_dir)
+    view = _per_patient(timelines, select_cohort(timelines))
+    return sorted(timelines), view, tmp_path_factory.mktemp("subset")
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(picks=st.sets(st.integers(0, 299), min_size=1, max_size=40))
+def test_cohort_of_a_patient_subset_agrees_with_the_full_cohort_property(
+    generated_tables, full_cohort, picks
+):
+    """A cohort built from the rows of some patients gives each of them the
+    timeline, exclusion rule, encounters and samples of the full cohort,
+    and its tally counts their rules. Splits are left out: `split_patients`
+    permutes the whole survivor list."""
+    data_dir = generated_tables[0]
+    patients, (stored, rules, survivors), subset_dir = full_cohort
+    subset = {patients[i % len(patients)] for i in picks}
+    for kind in TABLE_COLUMNS:
+        header, *rows = (data_dir / f"{kind}.csv").read_text(encoding="utf-8").splitlines(True)
+        kept = [row for row in rows if row.split(",", 1)[0] in subset]
+        (subset_dir / f"{kind}.csv").write_text(header + "".join(kept), encoding="utf-8")
+    timelines = _merged_tables(subset_dir)
+    expected_survivors = {p: survivors[p] for p in sorted(subset) if p in survivors}
+    if not expected_survivors:
+        with pytest.raises(DataError, match="empty cohort"):
+            select_cohort(timelines)
+        return
+    cohort = select_cohort(timelines)
+    assert _per_patient(timelines, cohort) == (
+        {p: stored[p] for p in subset},
+        {p: rules[p] for p in subset},
+        expected_survivors,
+    )
+    counted = Counter(rules[p] for p in subset)
+    assert cohort.exclusion_tally == {rule: counted[rule] for rule in EXCLUSION_RULES}
+    assert cohort.total_patients == len(subset)
 
 
 def test_select_cohort_empty_raises(make_encounter):

@@ -17,6 +17,7 @@ from htnrisk.ehr_core import (
     EncounterRecord,
     LabOrderEvent,
     MedicationEvent,
+    MergeStats,
     MedicationCategory,
     categorize_medication,
     encounter_from_dict,
@@ -375,6 +376,35 @@ def test_merge_principal_diagnosis_keeps_existing_code(make_encounter):
     diagnoses = [DiagnosisEvent("p1", _day(10), "I10", is_principal=True)]
     timelines, _ = merge_patient_timeline(encounters, [], [], diagnoses)
     assert timelines["p1"][0].diagnosis_code == "E11"
+
+
+def test_merge_reads_one_shot_generators_once_each_in_table_order():
+    """`cohort` hands the merge one lazily parsed table at a time, which
+    holds only while each input is read once, to its end, before the next."""
+    fixture = Path(__file__).parent / "data" / "cohort_fixture"
+    tables = {kind: parse_table(fixture / f"{kind}.csv", kind)[0] for kind in TABLE_COLUMNS}
+    orphans = {  # one event of an unknown patient per event table
+        "medications": MedicationEvent("p9", _day(1), "metoprolol"),
+        "labs": LabOrderEvent("p9", _day(1), "CBC"),
+        "diagnoses": DiagnosisEvent("p9", _day(1), "I10", is_principal=True),
+    }
+    for kind, event in orphans.items():
+        tables[kind].append(event)
+    reads = []
+
+    def one_shot(kind):
+        reads.append(("start", kind))
+        yield from tables[kind]
+        reads.append(("end", kind))
+
+    from_lists = merge_patient_timeline(*tables.values())
+    from_generators = merge_patient_timeline(*(one_shot(kind) for kind in TABLE_COLUMNS))
+    assert reads == [(step, kind) for kind in TABLE_COLUMNS for step in ("start", "end")]
+    assert from_generators[1] == from_lists[1] == MergeStats(2, 1, 1)
+    (a, _), (b, _) = from_lists, from_generators
+    assert {p: [encounter_to_dict(e) for e in t] for p, t in b.items()} == {
+        p: [encounter_to_dict(e) for e in t] for p, t in a.items()
+    }
 
 
 def test_merge_does_not_mutate_inputs(make_encounter):
