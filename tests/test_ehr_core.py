@@ -17,8 +17,8 @@ from htnrisk.ehr_core import (
     EncounterRecord,
     LabOrderEvent,
     MedicationEvent,
-    MergeStats,
     MedicationCategory,
+    MergeStats,
     categorize_medication,
     encounter_from_dict,
     encounter_to_dict,
@@ -401,10 +401,11 @@ def test_merge_reads_one_shot_generators_once_each_in_table_order():
     from_generators = merge_patient_timeline(*(one_shot(kind) for kind in TABLE_COLUMNS))
     assert reads == [(step, kind) for kind in TABLE_COLUMNS for step in ("start", "end")]
     assert from_generators[1] == from_lists[1] == MergeStats(2, 1, 1)
-    (a, _), (b, _) = from_lists, from_generators
-    assert {p: [encounter_to_dict(e) for e in t] for p, t in b.items()} == {
-        p: [encounter_to_dict(e) for e in t] for p, t in a.items()
-    }
+
+    def stored(timelines):
+        return {p: [encounter_to_dict(e) for e in t] for p, t in timelines.items()}
+
+    assert stored(from_generators[0]) == stored(from_lists[0])
 
 
 def test_merge_does_not_mutate_inputs(make_encounter):
