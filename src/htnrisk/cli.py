@@ -10,33 +10,47 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_config, read_json, write_json, write_manifest
+from .artifacts import canonical_json, read_config, read_json, write_json, write_manifest
 from .cohort import (
     DEFAULT_SPLIT_FRACTIONS,
+    EXCLUSION_RULES,
     HORIZON_DAYS,
     SPLIT_NAMES,
     check_fiscal_year_start,
     check_horizon,
     check_split_fractions,
     cohort_from_dict,
-    cohort_to_dict,
-    select_cohort,
+    sample_rows,
+    select_patients,
+    split_patients,
     write_exclusion_report,
+    write_samples,
 )
 from .ehr_core import (
     TABLE_COLUMNS,
     DataError,
+    MergeStats,
+    RowError,
+    encounter_to_dict,
     merge_patient_timeline,
     parse_table,
+    patient_ids,
     write_error_report,
 )
 from .nnet import NumericalError
+from .parallel import MIN_BLOCK_PATIENTS, block_ranges, run_blocks, usable_cores
+
+# Not called here since `cohort` runs in blocks, but perfbench/tracing.py
+# wraps the whole-cohort steps by these names in this module.
+from .cohort import cohort_to_dict, select_cohort  # noqa: F401, E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +132,43 @@ def cmd_generate(args) -> int:
 
 # -- cohort ---------------------------------------------------------------------
 
+def _cohort_block(data_dir: Path, ids: list, horizon: int, fiscal_year_start: int,
+                  block: range) -> list[bytes]:
+    """Parse, merge, select and encode the patients from `ids[block.start]`
+    up to `ids[block.stop]`; the first block has no lower bound and the
+    last no upper one, so every patient id falls in exactly one block.
+    Returns, as UTF-8 canonical JSON, the block's counts, row errors and
+    survivors; its sample rows; and each survivor's encoded encounters."""
+    low = ids[block.start] if block.start > 0 else None
+    high = ids[block.stop] if block.stop < len(ids) else None
+    row_errors = []
+
+    def table(kind):
+        # Parsed only when the merge reaches it, and freed when the merge
+        # moves on, so one parsed table is alive at a time.
+        records, errors = parse_table(data_dir / f"{kind}.csv", kind, low, high)
+        row_errors.extend(errors)
+        yield from records
+
+    timelines, merge_stats = merge_patient_timeline(*(table(kind) for kind in TABLE_COLUMNS))
+    part = select_patients(timelines, horizon, fiscal_year_start)
+    del timelines  # the part keeps the included patients' timelines
+    summary = {
+        **asdict(merge_stats),
+        "exclusion_tally": part.exclusion_tally,
+        "total_patients": part.total_patients,
+        "samples": len(part.samples),
+        "row_errors": [[e.row, e.table, e.message] for e in row_errors],
+        "patients": list(part.timelines),
+    }
+    return [
+        canonical_json(summary).encode("utf-8"),
+        canonical_json(sample_rows(part.samples)).encode("utf-8"),
+        *(canonical_json([encounter_to_dict(e) for e in timeline]).encode("utf-8")
+          for timeline in part.timelines.values()),
+    ]
+
+
 def cmd_cohort(args) -> int:
     try:
         fractions = tuple(float(f) for f in args.fractions.split(","))
@@ -130,29 +181,35 @@ def cmd_cohort(args) -> int:
     check_fiscal_year_start(args.fiscal_year_start)
     check_horizon(args.horizon)
     data_dir = Path(args.data)
-    row_errors = []
-
-    def table(kind):
-        # Parsed only when the merge reaches it, and freed when the merge
-        # moves on, so one parsed table is alive at a time.
-        records, errors = parse_table(data_dir / f"{kind}.csv", kind)
-        row_errors.extend(errors)
-        yield from records
-
-    timelines, merge_stats = merge_patient_timeline(*(table(kind) for kind in TABLE_COLUMNS))
-    cohort = select_cohort(
-        timelines,
-        seed=args.seed,
-        fractions=fractions,
-        horizon_days=args.horizon,
-        fiscal_year_start=args.fiscal_year_start,
+    # Contiguous ranges of the sorted patient ids, one block per usable
+    # core; each block scans every table and keeps the rows of its range.
+    ids = patient_ids(data_dir / "encounters.csv")
+    blocks = block_ranges(len(ids), usable_cores(), MIN_BLOCK_PATIENTS)
+    compute = partial(_cohort_block, data_dir, ids, args.horizon, args.fiscal_year_start)
+    results = run_blocks(blocks, compute, "selecting patients")
+    parts = [json.loads(buffers[0]) for buffers in results]
+    table_order = list(TABLE_COLUMNS)
+    row_errors = sorted(
+        (RowError(*error) for part in parts for error in part["row_errors"]),
+        key=lambda e: (table_order.index(e.table), e.row),
     )
-    del timelines  # the cohort keeps the included patients' timelines
+    patients = [patient for part in parts for patient in part["patients"]]
+    if not patients:
+        raise DataError("empty cohort after exclusions")
+    splits = split_patients(patients, fractions, args.seed)
+    tally = {rule: sum(part["exclusion_tally"][rule] for part in parts) for rule in EXCLUSION_RULES}
+    total_patients = sum(part["total_patients"] for part in parts)
     out = _out_dir(args)
     samples_path = out / "samples.json"
-    write_json(samples_path, cohort_to_dict(cohort))
+    write_samples(
+        samples_path, args.horizon, total_patients, tally,
+        ((patient, splits[patient], encounters)
+         for part, buffers in zip(parts, results)
+         for patient, encounters in zip(part["patients"], buffers[2:])),
+        (buffers[1] for buffers in results),
+    )
     exclusions_path = out / "exclusions.csv"
-    write_exclusion_report(cohort.exclusion_tally, cohort.total_patients, exclusions_path)
+    write_exclusion_report(tally, total_patients, exclusions_path)
     errors_path = out / "row_errors.csv"
     write_error_report(row_errors, errors_path)
     write_manifest(
@@ -169,16 +226,13 @@ def cmd_cohort(args) -> int:
             "horizon_days": args.horizon,
             "fiscal_year_start": args.fiscal_year_start,
             "row_errors": len(row_errors),
-            "dropped_medications": merge_stats.dropped_medications,
-            "dropped_labs": merge_stats.dropped_labs,
-            "dropped_diagnoses": merge_stats.dropped_diagnoses,
+            **{key: sum(part[key] for part in parts) for key in asdict(MergeStats())},
         },
         seed=args.seed,
     )
-    included = len(cohort.timelines)
     print(
-        f"cohort: {included} of {cohort.total_patients} patients included, "
-        f"{len(cohort.samples)} samples, {len(row_errors)} row errors"
+        f"cohort: {len(patients)} of {total_patients} patients included, "
+        f"{sum(part['samples'] for part in parts)} samples, {len(row_errors)} row errors"
     )
     return EXIT_OK
 

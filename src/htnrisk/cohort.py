@@ -8,15 +8,17 @@ everything strictly before it. Splits are patient-disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import IntEnum
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .artifacts import (
-    BOOL, INTEGER, LIST, OBJECT, STRING, derive_seed, require, require_each, require_format,
-    require_keys, write_csv,
+    BOOL, INTEGER, LIST, OBJECT, STRING, canonical_json, derive_seed, require, require_each,
+    require_format, require_keys, write_csv,
 )
 from .ehr_core import DataError, EncounterRecord, PatientId, encounter_from_dict, encounter_to_dict
 
@@ -267,16 +269,16 @@ class Cohort:
         return [s for s in self.samples_in(split) if s.final]
 
 
-def select_cohort(
+def select_patients(
     timelines: dict[PatientId, list[EncounterRecord]],
-    seed: int = 0,
-    fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS,
     horizon_days: int = HORIZON_DAYS,
     fiscal_year_start: int = 1,
 ) -> Cohort:
-    """Run the full selection: error floor, exclusions, samples, splits."""
+    """The per-patient step of `select_cohort`: error floor, exclusions and
+    samples. What it keeps of a patient depends on that patient's timeline
+    alone, so it may run on any subset of the patients. The returned cohort
+    has no splits yet, and may have no patients."""
     check_horizon(horizon_days)
-    total = len(timelines)
     filtered = {
         patient: exclude_bp_reading_errors(stream) for patient, stream in timelines.items()
     }
@@ -288,17 +290,30 @@ def select_cohort(
         if patient_samples:
             with_samples[patient] = included[patient]
             samples.extend(patient_samples)
-    if not with_samples:
-        raise DataError("empty cohort after exclusions")
-    splits = split_patients(list(with_samples), fractions, seed)
     return Cohort(
         timelines=with_samples,
         samples=samples,
-        splits=splits,
+        splits={},
         exclusion_tally=tally,
-        total_patients=total,
+        total_patients=len(timelines),
         horizon_days=horizon_days,
     )
+
+
+def select_cohort(
+    timelines: dict[PatientId, list[EncounterRecord]],
+    seed: int = 0,
+    fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS,
+    horizon_days: int = HORIZON_DAYS,
+    fiscal_year_start: int = 1,
+) -> Cohort:
+    """Run the full selection: `select_patients`, then `split_patients`
+    over all of its survivors."""
+    cohort = select_patients(timelines, horizon_days, fiscal_year_start)
+    if not cohort.timelines:
+        raise DataError("empty cohort after exclusions")
+    cohort.splits = split_patients(list(cohort.timelines), fractions, seed)
+    return cohort
 
 
 # -- samples artifact ---------------------------------------------------------
@@ -315,6 +330,15 @@ _ENTRY_KINDS = {"split": STRING, "encounters": LIST}
 _ROW_KINDS = {"target_index": INTEGER, "label": INTEGER, "final": BOOL}
 
 
+def sample_rows(samples: list[CohortSample]) -> list[dict]:
+    """The rows of the samples file's `samples` list, in sample order."""
+    return [
+        {"patient": s.patient, "target_index": s.target_index, "label": int(s.label),
+         "final": s.final}
+        for s in samples
+    ]
+
+
 def cohort_to_dict(cohort: Cohort) -> dict:
     patients = {}
     for patient in sorted(cohort.timelines):
@@ -322,23 +346,48 @@ def cohort_to_dict(cohort: Cohort) -> dict:
             "split": cohort.splits[patient],
             "encounters": [encounter_to_dict(e) for e in cohort.timelines[patient]],
         }
-    samples = [
-        {
-            "patient": s.patient,
-            "target_index": s.target_index,
-            "label": int(s.label),
-            "final": s.final,
-        }
-        for s in cohort.samples
-    ]
     return {
         "format": SAMPLES_FORMAT,
         "horizon_days": cohort.horizon_days,
         "total_patients": cohort.total_patients,
         "exclusion_tally": dict(cohort.exclusion_tally),
         "patients": patients,
-        "samples": samples,
+        "samples": sample_rows(cohort.samples),
     }
+
+
+def write_samples(
+    path, horizon_days: int, total_patients: int, tally: dict[str, int],
+    patients: Iterable[tuple[PatientId, str, bytes]], sample_lists: Iterable[bytes],
+) -> None:
+    """Write the samples file of a cohort from its parts, byte for byte as
+    `canonical_json(cohort_to_dict(cohort)) + "\n"`, without joining it.
+
+    `patients` yields (patient, split, encounters) in sorted patient order,
+    `encounters` being the UTF-8 canonical JSON of the list of its
+    `encounter_to_dict` forms. `sample_lists` yields the UTF-8 canonical
+    JSON of lists of `sample_rows`, which run on from one to the next.
+    """
+    def text(value) -> bytes:
+        return canonical_json(value).encode("utf-8")
+
+    with Path(path).open("wb") as handle:
+        # The keys in canonical_json's sorted order.
+        handle.write(b'{"exclusion_tally":%s,"format":%s,"horizon_days":%d,"patients":{' % (
+            text(tally), text(SAMPLES_FORMAT), horizon_days))
+        separator = b""
+        for patient, split, encounters in patients:
+            handle.write(b'%s%s:{"encounters":%s,"split":%s}' % (
+                separator, text(patient), encounters, text(split)))
+            separator = b","
+        handle.write(b'},"samples":[')
+        separator = b""
+        for rows in sample_lists:
+            if rows != b"[]":
+                handle.write(separator)
+                handle.write(rows[1:-1])
+                separator = b","
+        handle.write(b'],"total_patients":%d}\n' % total_patients)
 
 
 def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohort:

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .artifacts import (
-    BOOL, LIST, NULL, NUMBER, OBJECT, STRING, DataError, format_number, require_each,
-    require_keys, write_csv,
+    BOOL, LIST, NULL, NUMBER, OBJECT, STRING, DataError, canonical_json, format_number,
+    require_each, require_keys, write_csv,
 )
 
 PatientId = str
@@ -304,7 +304,29 @@ _ROW_PARSERS = {
 }
 
 
-def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
+def patient_ids(path: str | Path) -> list[PatientId]:
+    """The sorted distinct stripped `patient_id` cells of the table at
+    `path`, from every row that reaches that column. Raises nothing: a file
+    that cannot be read as a table with that column gives no ids, and
+    `parse_table` reports why."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            column = _id_column(next(reader, []))
+            return sorted({cells[column].strip() for cells in reader if len(cells) > column})
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return []
+
+
+def _id_column(header: list[str]) -> int:
+    # The last one: a row parser reads dict(zip(header, cells)), where a
+    # repeated column's last cell wins. A ValueError without the column.
+    return len(header) - 1 - header[::-1].index("patient_id")
+
+
+def parse_table(
+    path: str | Path, kind: str, low: PatientId | None = None, high: PatientId | None = None
+) -> tuple[list, list[RowError]]:
     """Parse one CSV table into typed events plus a row-level error report.
 
     A missing header column or text that is not UTF-8 is fatal
@@ -312,6 +334,12 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
     count other than the header's, lands in the error list with the
     1-based file line where the record starts. Extra or reordered columns
     are tolerated, and blank lines are skipped.
+
+    Only rows whose stripped `patient_id` is at least `low` and below
+    `high` are parsed or reported; a bound of None leaves that side open.
+    A row with another cell count has no id to place it by, so only a
+    range without a lower bound reports it. Ranges that partition the ids
+    therefore partition the events and the row errors of one full parse.
     """
     if kind not in TABLE_COLUMNS:
         raise DataError(f"unknown table kind {kind!r}")
@@ -329,6 +357,7 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
             if missing:
                 raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             width = len(header)
+            column = _id_column(header)
             # A record starts on the line after the previous one ends: a
             # quoted cell may span lines.
             ended = reader.line_num
@@ -337,8 +366,12 @@ def parse_table(path: str | Path, kind: str) -> tuple[list, list[RowError]]:
                 if not cells:
                     continue
                 if len(cells) != width:
-                    message = f"expected {width} cells, got {len(cells)}"
-                    errors.append(RowError(row=lineno, table=kind, message=message))
+                    if low is None:
+                        message = f"expected {width} cells, got {len(cells)}"
+                        errors.append(RowError(row=lineno, table=kind, message=message))
+                    continue
+                patient = cells[column].strip()
+                if (low is not None and patient < low) or (high is not None and patient >= high):
                     continue
                 try:
                     events.append(parser(dict(zip(header, cells))))
@@ -406,8 +439,10 @@ def merge_patient_timeline(
 
     Each medication/lab/diagnosis event attaches to the encounter on its
     date, falling back to the most recent prior encounter; events before
-    any encounter are dropped and counted. Inputs are not mutated: the
-    returned encounters are copies with fresh indicator sets.
+    any encounter are dropped and counted. A patient's visits on one date
+    are ordered by their `encounter_to_dict` form, so which of them takes
+    that date's events does not depend on the row order. Inputs are not
+    mutated: the returned encounters are copies with fresh indicator sets.
 
     Each iterable is read once, to its end, before the next one starts:
     encounters first, then medications, labs and diagnoses. So they may be
@@ -426,6 +461,10 @@ def merge_patient_timeline(
         timelines.setdefault(enc.patient, []).append(copied)
     for stream in timelines.values():
         stream.sort(key=lambda e: e.date)
+        if any(a.date == b.date for a, b in zip(stream, stream[1:])):
+            # Visits on one date take the order of their stored form, not
+            # of the file: the later one receives that date's order rows.
+            stream.sort(key=lambda e: (e.date, canonical_json(encounter_to_dict(e))))
 
     dates = {pid: [e.date for e in stream] for pid, stream in timelines.items()}
     stats = MergeStats()

@@ -1,12 +1,13 @@
 """Contiguous blocks of independent work, one per usable core.
 
-`generate` splits its patients and `attribute` its integrated-gradients
-samples this way. The first block runs in the calling process and each
-other one in a child started with `fork`. A block's result is a list of
-raw buffers, which a child sends back through a pipe one message each:
-a pickle of a large result costs a second copy and fragments the
-parent's heap, and one pickle of `generate`'s four tables left the
-parent's peak RSS ~6 MB higher in the stages that follow.
+`generate` and `cohort` split their patients and `attribute` its
+integrated-gradients samples this way. The first block runs in the
+calling process and each other one in a child started with `fork`. A
+block's result is a list of raw buffers, which a child sends back
+through a pipe one message each: a pickle of a large result costs a
+second copy and fragments the parent's heap, and one pickle of
+`generate`'s four tables left the parent's peak RSS ~6 MB higher in the
+stages that follow.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ _OPENBLAS_THREAD_FUNCTIONS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+#: Fewest patients worth a process of their own in `generate` and
+#: `cohort`: a block this size takes ~0.25 s to generate and ~0.2 s to
+#: select, against a few milliseconds to fork and return it.
+MIN_BLOCK_PATIENTS = 500
 
 
 def usable_cores() -> int:

@@ -41,7 +41,7 @@ from .ehr_core import (
     format_rows,
     write_table,
 )
-from .parallel import block_ranges, run_blocks, usable_cores
+from .parallel import MIN_BLOCK_PATIENTS, block_ranges, run_blocks, usable_cores
 
 #: Lab panels with per-visit order probabilities; the first clears the
 #: 60% retention rule, the others exercise the drop path.
@@ -76,10 +76,6 @@ RACES = (("white", 0.60), ("black", 0.15), ("asian", 0.10), ("hispanic", 0.10), 
 MARITAL = (("married", 0.50), ("single", 0.25), ("divorced", 0.15), ("widowed", 0.10))
 LANGUAGES = (("english", 0.80), ("spanish", 0.12), ("other", 0.08))
 SMOKING = (("never", 0.50), ("former", 0.30), ("current", 0.20))
-
-#: Fewest patients worth a process of their own: a block this size takes
-#: ~0.25 s to generate, against a few milliseconds to fork and return it.
-MIN_BLOCK_PATIENTS = 500
 
 
 @dataclass

@@ -13,10 +13,10 @@ import htnrisk.attribution as attribution
 import htnrisk.cli as cli
 import htnrisk.parallel as parallel
 import htnrisk.synth as synth
-from htnrisk.artifacts import read_json, sha256_file, write_json
+from htnrisk.artifacts import canonical_json, read_json, sha256_file, write_json
 from htnrisk.cli import build_parser, main
-from htnrisk.cohort import cohort_from_dict
-from htnrisk.ehr_core import TABLE_COLUMNS, DataError
+from htnrisk.cohort import cohort_from_dict, cohort_to_dict, select_cohort
+from htnrisk.ehr_core import TABLE_COLUMNS, DataError, merge_patient_timeline, parse_table
 from htnrisk.nnet import NumericalError
 
 # Small LSTM so the pipeline fixture stays fast.
@@ -690,15 +690,15 @@ def test_cohort_holds_one_parsed_table_at_a_time(pipeline, tmp_path, monkeypatch
     alive_at_parse = []  # the kinds still alive as each table was parsed
     merged = []
     alive_at_serialize = []
-    parse_table, merge, to_dict = cli.parse_table, cli.merge_patient_timeline, cli.cohort_to_dict
+    parse_table, merge, rows = cli.parse_table, cli.merge_patient_timeline, cli.sample_rows
 
     def alive(table, records):
         # The merge's loop variable may still hold the last record it read.
         return table() is not None or sum(ref() is not None for ref in records) > 1
 
-    def tracked_parse(path, kind):
+    def tracked_parse(path, kind, *bounds):
         alive_at_parse.append([k for k, *refs in parsed if alive(*refs)])
-        records, errors = parse_table(path, kind)
+        records, errors = parse_table(path, kind, *bounds)
         table = _Referable(records)
         parsed.append((kind, weakref.ref(table), [weakref.ref(r) for r in records]))
         return table, errors
@@ -709,13 +709,13 @@ def test_cohort_holds_one_parsed_table_at_a_time(pipeline, tmp_path, monkeypatch
         merged.append(weakref.ref(timelines))
         return timelines, stats
 
-    def tracked_to_dict(cohort):
+    def tracked_rows(samples):  # the first step of the encoding
         alive_at_serialize.append(merged[0]() is not None)
-        return to_dict(cohort)
+        return rows(samples)
 
     monkeypatch.setattr(cli, "parse_table", tracked_parse)
     monkeypatch.setattr(cli, "merge_patient_timeline", tracked_merge)
-    monkeypatch.setattr(cli, "cohort_to_dict", tracked_to_dict)
+    monkeypatch.setattr(cli, "sample_rows", tracked_rows)
     out = tmp_path / "out"
     assert main(["cohort", "--data", str(pipeline["data"]), "--out", str(out)]) == 0
     assert [kind for kind, *_ in parsed] == list(TABLE_COLUMNS)
@@ -725,6 +725,138 @@ def test_cohort_holds_one_parsed_table_at_a_time(pipeline, tmp_path, monkeypatch
     assert alive_at_parse == [[]] * len(TABLE_COLUMNS)
     assert alive_at_serialize == [False]
     assert (out / "samples.json").read_bytes() == (pipeline["cohort"] / "samples.json").read_bytes()
+
+
+# -- cohort in patient blocks ------------------------------------------------------
+
+
+def _select_in_blocks(monkeypatch, cores):
+    """Make cohort use `cores` blocks for any table of at least that many
+    patient ids; returns the block count of each run, as it reaches run_blocks."""
+    monkeypatch.setattr(cli, "usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, "MIN_BLOCK_PATIENTS", 1)
+    block_counts = []
+
+    def counted(blocks, *rest):
+        block_counts.append(len(blocks))
+        return parallel.run_blocks(blocks, *rest)
+
+    monkeypatch.setattr(cli, "run_blocks", counted)
+    return block_counts
+
+
+def _damaged_source_tables(pipeline, tmp_path):
+    """The pipeline's tables with, in every table, a short row, a bad date
+    and an empty patient_id; order rows of a patient with no encounters,
+    and order rows dated before a patient's first visit. In three blocks
+    the bad dates fall in the last one and the other row errors in the
+    first."""
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    for kind in TABLE_COLUMNS:
+        path = data / f"{kind}.csv"
+        first = _lines(path)[1].split(",")
+        rows = ["P00148,2013-01-01", ",".join(["P00140", "2013-02-30", *first[2:]]),
+                ",".join(["", *first[1:]])]
+        if kind != "encounters":
+            rows += [",".join([patient, day, *first[2:]]) for patient, day in (
+                ("P00075x", "2014-05-01"), (" P00120 ", "1990-01-01"))]
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("\n".join(rows) + "\n")
+    return data
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["pipeline", "damaged"])
+def test_cohort_files_do_not_depend_on_the_block_count(
+    pipeline, tmp_path, monkeypatch, capsys, damaged
+):
+    source = _damaged_source_tables(pipeline, tmp_path) if damaged else pipeline["data"]
+    block_counts = []
+
+    def select(name, cores):
+        # Each run reads "data" and writes "cohort" in its own directory,
+        # so the manifests' paths agree too.
+        run_dir = tmp_path / name
+        shutil.copytree(source, run_dir / "data")
+        monkeypatch.chdir(run_dir)
+        counts = _select_in_blocks(monkeypatch, cores)
+        assert main(["cohort", "--data", "data", "--out", "cohort", "--seed", "3"]) == 0
+        block_counts.extend(counts)
+        files = {path.name: path.read_bytes() for path in (run_dir / "cohort").iterdir()}
+        return files, capsys.readouterr().out
+
+    one_block = select("one", 1)
+    assert sorted(one_block[0]) == [
+        "exclusions.csv", "manifest.json", "row_errors.csv", "samples.json",
+    ]
+    assert select("two", 2) == one_block
+    assert select("three", 3) == one_block
+    assert block_counts == [1, 2, 3]
+    # The file is the canonical JSON of the cohort selected in one piece.
+    tables = [parse_table(source / f"{kind}.csv", kind) for kind in TABLE_COLUMNS]
+    timelines, _ = merge_patient_timeline(*(records for records, _ in tables))
+    expected = canonical_json(cohort_to_dict(select_cohort(timelines, seed=3))) + "\n"
+    assert one_block[0]["samples.json"] == expected.encode("utf-8")
+    errors = [error for _, table_errors in tables for error in table_errors]
+    assert len(_lines(tmp_path / "one" / "cohort" / "row_errors.csv")) == 1 + len(errors)
+    if damaged:
+        assert len(errors) == 12
+
+
+@pytest.mark.parametrize("failing_block", [0, 2])  # in this process; in the last, forked one
+def test_a_data_error_in_any_cohort_block_is_a_data_error(
+    pipeline, tmp_path, monkeypatch, capsys, failing_block
+):
+    _select_in_blocks(monkeypatch, cores=3)
+    select_patients = cli.select_patients
+
+    def fail_in_one_block(timelines, *rest):
+        if "P00149" in timelines or failing_block == 0:
+            raise DataError(f"cannot select block {failing_block}")
+        return select_patients(timelines, *rest)
+
+    monkeypatch.setattr(cli, "select_patients", fail_in_one_block)
+    out = tmp_path / "out"
+    assert main(["cohort", "--data", str(pipeline["data"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cohort: cannot select block {failing_block}\n"
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_a_cohort_block_process_that_dies_is_a_data_error(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    _select_in_blocks(monkeypatch, cores=3)
+    select_patients = cli.select_patients
+
+    def die_in_block_1(timelines, *rest):
+        if "P00075" in timelines:
+            os._exit(7)
+        return select_patients(timelines, *rest)
+
+    monkeypatch.setattr(cli, "select_patients", die_in_block_1)
+    assert main(["cohort", "--data", str(pipeline["data"]), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: cohort: the process selecting patients 50-99 exited with code 7 "
+        "before sending them\n"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_an_empty_cohort_across_all_blocks_is_a_data_error(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    encounters = data / "encounters.csv"
+    header, *rows = _lines(encounters)
+    firsts = {}
+    for row in rows:  # one visit each: every patient fails the last-gap rule
+        firsts.setdefault(row.split(",", 1)[0], row)
+    encounters.write_text("\n".join([header, *firsts.values()]) + "\n", encoding="utf-8")
+    block_counts = _select_in_blocks(monkeypatch, cores=3)
+    assert main(["cohort", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: cohort: empty cohort after exclusions\n"
+    assert block_counts == [3]
+    assert multiprocessing.active_children() == []
 
 
 def test_fiscal_year_start_outside_the_months_is_a_usage_error(pipeline, tmp_path, capsys):

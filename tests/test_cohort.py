@@ -355,12 +355,11 @@ def test_cohort_does_not_depend_on_the_row_order_of_its_tables_property(
     samples.json and the exclusion report byte-identical and the row
     errors equal as a multiset.
 
-    Scope: `generate` never repeats a visit date within a patient. Two
-    visits of one patient on one date would keep their file order
-    through the merge's stable sort, so a shuffle could reorder them.
-    Likewise the first principal-diagnosis row of a visit sets its code
-    only when the encounter row left it blank, which `generate` never
-    does.
+    Scope: `generate` never repeats a visit date within a patient, so the
+    merge's ordering of visits on one date is pinned by its own test in
+    test_ehr_core.py. Likewise the first principal-diagnosis row of a
+    visit sets its code only when the encounter row left it blank, which
+    `generate` never does.
     """
     data_dir, shuffled, expected = generated_tables
     assert sum(expected[2].values()) == 2  # the two appended rows

@@ -26,6 +26,7 @@ from htnrisk.ehr_core import (
     merge_patient_timeline,
     normalize_drug_name,
     parse_table,
+    patient_ids,
     write_error_report,
     write_table,
 )
@@ -246,6 +247,69 @@ def test_appended_rows_parse_or_become_row_errors_property(data, kind):
     assert {e.row for e in errors} <= set(starts)
 
 
+_IDS = st.sampled_from(["", " ", "p1", " p1", "p1 ", "p2", "p10", "P3", "q", "\u00e9"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(sorted(TABLE_COLUMNS)))
+def test_parsing_range_by_range_equals_one_full_parse_property(data, kind):
+    """Ranges that split the id space, parsed one by one and concatenated,
+    give the records of one full parse, grouped by range and in file order
+    within each, and its row errors once merged by line. The ids include
+    the empty one, ids padded with spaces and, across tables, ids that only
+    some tables hold; a repeated `patient_id` column puts the id the parser
+    reads in the last one."""
+    header = list(TABLE_COLUMNS[kind])
+    repeated = data.draw(st.booleans())
+    if repeated:
+        header.append("patient_id")
+    template = _VALID_ROWS[kind].split(",")
+    rows = []
+    for patient, form in data.draw(st.lists(st.tuples(
+        _IDS, st.sampled_from(["valid", "valid", "bad date", "short", "long"])
+    ), max_size=12)):
+        cells = [patient] + template[1:] + ([patient] if repeated else [])
+        if repeated:
+            cells[0] = data.draw(_IDS)  # not the cell the parser reads
+        if form == "bad date":
+            cells[1] = "2023-13-45"
+        elif form == "short":
+            cells = cells[:2]
+        elif form == "long":
+            cells.append("extra")
+        rows.append(cells)
+    cuts = sorted(set(data.draw(st.lists(st.one_of(_IDS, st.text(max_size=3)), max_size=4))))
+    bounds = list(zip([None, *cuts], [*cuts, None]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+        events, errors = parse_table(path, kind)
+        parts = [parse_table(path, kind, low, high) for low, high in bounds]
+
+    def range_of(patient):
+        return sum(cut <= patient for cut in cuts)
+
+    assert [e for part, _ in parts for e in part] == sorted(
+        events, key=lambda e: range_of(e.patient))
+    assert sorted((e for _, part in parts for e in part), key=lambda e: e.row) == errors
+
+
+def test_patient_ids_are_the_sorted_distinct_stripped_ids(tmp_path):
+    path = tmp_path / "labs.csv"
+    _write(path, ["patient_id,date,panel_name", "p2,2023-01-05,CBC", " p1 ,x,y", "p2,2023",
+                  ",2023-01-05,CBC", "p3"])
+    assert patient_ids(path) == ["", "p1", "p2", "p3"]
+
+
+@pytest.mark.parametrize("content", [None, b"", b"date,code\np1,x\n", b"patient_id\n\xff\n"])
+def test_patient_ids_of_an_unreadable_table_are_none(tmp_path, content):
+    path = tmp_path / "encounters.csv"
+    if content is not None:
+        path.write_bytes(content)
+    assert patient_ids(path) == []
+
+
 def test_parse_missing_required_column_is_fatal(tmp_path):
     path = tmp_path / "encounters.csv"
     _write(path, [ENCOUNTER_HEADER.replace("systolic,", ""), "p1,2023-01-05,80"])
@@ -369,6 +433,20 @@ def test_merge_principal_diagnosis_does_not_depend_on_row_order(make_encounter):
         codes.add(timelines["p1"][0].diagnosis_code)
         assert stats.dropped_diagnoses == 1
     assert codes == {"E78"}
+
+
+def test_merge_orders_visits_on_one_date_by_content_not_row_order(make_encounter):
+    day = date(2020, 1, 1)
+    visits = [make_encounter(when=day, systolic=150.0, diastolic=95.0),
+              make_encounter(when=day, systolic=120.0, diastolic=70.0)]
+    meds = [MedicationEvent("p1", day, "lisinopril")]
+    stored = []
+    for encounters in (visits, visits[::-1]):
+        timelines, _ = merge_patient_timeline(encounters, meds, [], [])
+        stored.append([encounter_to_dict(e) for e in timelines["p1"]])
+    assert stored[0] == stored[1]
+    treated = [(e["systolic"], e["med_categories"]) for e in stored[0]]
+    assert treated == [(120.0, []), (150.0, ["ACEInhibitor"])]
 
 
 def test_merge_principal_diagnosis_keeps_existing_code(make_encounter):
