@@ -1,13 +1,18 @@
-"""Peak RSS after each stage of the `etl` workload, iteration by iteration.
+"""Peak RSS after each stage of the `etl` and `train` workloads, iteration
+by iteration.
 
     PYTHONPATH=src python3 bench/stage_rss.py [--seed 2026] [--iterations 3]
 
 Runs generate, cohort and featurize on the 5,000-patient positive control
-(configs/acceptance_positive.kv) in this process, as the `etl` benchmark
-times them, in a temporary directory, and prints the process's peak RSS
-(`ru_maxrss` of RUSAGE_SELF, in MB) after each stage, so the stage that
-raises the peak shows. Forked block processes are not counted, as the
-benchmark does not count them. It is not part of the test suite.
+(configs/acceptance_positive.kv), as the `etl` benchmark times them, then
+the `train` benchmark's timed stages on their outputs: LR at 150 epochs,
+the LSTM at 4, both evaluations on the test split and attribution at 128
+steps. All run in this process, in a temporary directory, and it prints
+the process's peak RSS (`ru_maxrss` of RUSAGE_SELF, in MB) after each
+stage, so the stage that raises the peak shows. The peak never falls, so
+after the first iteration only a stage that raises it further shows.
+Forked block processes are not counted, as the benchmark does not count
+them. It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -33,23 +38,38 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=3)
     args = parser.parse_args(argv)
     config = str(ROOT / "configs" / "acceptance_positive.kv")
+    samples = ["--samples", "cohort/samples.json"]
     stages = [
-        ["generate", "--config", config, "--seed", str(args.seed), "--out", "data"],
-        ["cohort", "--data", "data", "--out", "cohort"],
-        ["featurize", "--samples", "cohort/samples.json", "--out", "features"],
+        ("generate", ["generate", "--config", config, "--seed", str(args.seed), "--out", "data"]),
+        ("cohort", ["cohort", "--data", "data", "--out", "cohort"]),
+        ("featurize", ["featurize", *samples, "--out", "features"]),
     ]
+    for model, epochs in (("lr", "150"), ("lstm", "4")):
+        stages.append((f"train_{model}", [
+            "train", *samples, "--schema", "features/schema.json", "--model", model,
+            "--epochs", epochs, "--seed", "0", "--out", model,
+        ]))
+    for model in ("lr", "lstm"):
+        stages.append((f"evaluate_{model}", [
+            "evaluate", "--model", f"{model}/model.json", *samples, "--split", "test",
+            "--out", f"eval_{model}",
+        ]))
+    stages.append(("attribute", [
+        "attribute", "--model", "lstm/model.json", *samples, "--split", "test",
+        "--steps", "128", "--out", "attr",
+    ]))
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        print(f"{'iteration':>9} {'stage':>10} {'peak_mb':>8}")
+        print(f"{'iteration':>9} {'stage':>13} {'peak_mb':>8}")
         for iteration in range(args.iterations):
             gc.collect()
-            for argv in stages:
+            for name, argv in stages:
                 with contextlib.redirect_stdout(io.StringIO()):  # the stage summaries
                     code = run_stage(argv)
                 if code != 0:
                     return code
                 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-                print(f"{iteration:>9} {argv[0]:>10} {peak:8.1f}")
+                print(f"{iteration:>9} {name:>13} {peak:8.1f}")
     return 0
 
 

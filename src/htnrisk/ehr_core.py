@@ -329,10 +329,12 @@ def parse_table(
 ) -> tuple[list, list[RowError]]:
     """Parse one CSV table into typed events plus a row-level error report.
 
-    A missing header column or text that is not UTF-8 is fatal
-    (DataError); anything wrong with an individual row, including a cell
-    count other than the header's, lands in the error list with the
-    1-based file line where the record starts. Extra or reordered columns
+    A missing header column, text that is not UTF-8, or a record the
+    `csv` module cannot read, such as a cell over its field limit, is
+    fatal (DataError, naming the line where the record starts); anything
+    wrong with an individual row, including a cell count other than the
+    header's, lands in the error list with the 1-based file line where the
+    record starts. Extra or reordered columns
     are tolerated, and blank lines are skipped.
 
     Only rows whose stripped `patient_id` is at least `low` and below
@@ -350,6 +352,7 @@ def parse_table(
     errors: list[RowError] = []
     parser = _ROW_PARSERS[kind]
     with path.open(newline="", encoding="utf-8") as handle:
+        ended = 0  # the line the previous record ended on
         try:
             reader = csv.reader(handle)
             header = next(reader, [])
@@ -379,6 +382,8 @@ def parse_table(
                     errors.append(RowError(row=lineno, table=kind, message=str(exc)))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {ended + 1}: {exc}") from None
     return events, errors
 
 

@@ -3,7 +3,8 @@
 A `FeatureSchema` is fitted on the training split only and then applied
 as a pure function everywhere: min-max scaling, mean imputation with
 missingness indicators, one-hot demographics, and binary indicators for
-medication families, retained lab panels, and problem codes. Each visit
+medication families, retained lab panels, and problem codes. The
+statistics and the rows read the visits gathered into columns. Each visit
 is featurized once into a per-patient row block: sequence inputs are
 slices of its last six rows, zero-padded on the left, and the flat input
 for the linear model gathers the last row plus a seven-visit
@@ -13,6 +14,7 @@ blood-pressure lag block from it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from datetime import date
 
 import numpy as np
 
@@ -21,7 +23,9 @@ from .artifacts import (
     require_each, require_format, require_keys, sha256_hex, write_csv,
 )
 from .cohort import CohortSample, compute_bp_fraction, label_bp_status
-from .ehr_core import DataError, EncounterRecord, MedicationCategory, DEMOGRAPHIC_NAMES
+from .ehr_core import (
+    DataError, EncounterRecord, MedicationCategory, DEMOGRAPHIC_NAMES, VITAL_NAMES,
+)
 
 SEQUENCE_LENGTH = 6  # visits fed to the recurrent model
 BP_LAG_DEPTH = 7  # blood-pressure history depth of the flat input
@@ -38,14 +42,7 @@ NUMERIC_VARIABLES = (
     "bp_status",
     "delta_time",
     "age",
-    "pulse",
-    "height",
-    "weight",
-    "bmi",
-    "temperature",
-    "respiratory_rate",
-    "heart_rate",
-    "fatigue",
+    *VITAL_NAMES,
 )
 
 #: Medication family columns, in enum declaration order.
@@ -96,42 +93,66 @@ def _encounter_codes(enc: EncounterRecord) -> set[str]:
     return codes
 
 
-def _numeric_value(enc: EncounterRecord, name: str, prev_date) -> float | None:
-    if name == "systolic":
-        return enc.systolic
-    if name == "diastolic":
-        return enc.diastolic
-    if name == "bp_fraction":
-        return compute_bp_fraction(enc.systolic, enc.diastolic)
-    if name == "bp_status":
-        status = label_bp_status(enc.systolic, enc.diastolic)
-        return None if status is None else float(status)
-    if name == "delta_time":
-        return 0.0 if prev_date is None else float((enc.date - prev_date).days)
-    if name == "age":
-        return float(enc.age)
-    return enc.vitals.get(name)
+Visit = tuple[EncounterRecord, date | None]  # an encounter and its previous visit's date
 
 
-def _record_columns(schema: FeatureSchema) -> list[str]:
-    cols: list[str] = []
-    for name in NUMERIC_VARIABLES:
-        if schema.numeric[name].retained:
-            cols.append(name)
-            cols.append(name + "__missing")
-    cols.append("sex")
+def _visits(histories) -> list[Visit]:
+    """Every visit of `histories`, in row order: histories in turn, each
+    oldest first."""
+    return [
+        (enc, history[i - 1].date if i else None)
+        for history in histories
+        for i, enc in enumerate(history)
+    ]
+
+
+def _numeric_values(visits: list[Visit]) -> np.ndarray:
+    """The (visits, 14) values of NUMERIC_VARIABLES, NaN where one is
+    absent. No parsed or loaded value is NaN, so NaN means absent."""
+
+    def row(enc, prev_date):
+        sbp, dbp = enc.systolic, enc.diastolic
+        delta = 0 if prev_date is None else (enc.date - prev_date).days
+        return (sbp, dbp, compute_bp_fraction(sbp, dbp), label_bp_status(sbp, dbp), delta,
+                enc.age, *map(enc.vitals.get, VITAL_NAMES))
+
+    rows = [row(enc, prev_date) for enc, prev_date in visits]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(NUMERIC_VARIABLES))
+
+
+def _columns(visits: list[Visit], schema: FeatureSchema):
+    """Each per-record column's name and its values over `visits`, one
+    column at a time, in layout order; with no visits, the layout."""
+    values = _numeric_values(visits)
+    for name, column in zip(NUMERIC_VARIABLES, values.T):
+        stats = schema.numeric[name]
+        if stats.retained:
+            absent = np.isnan(column)
+            yield name, scale_minmax(np.where(absent, stats.mean, column), stats)
+            yield name + "__missing", absent
+    encounters = [enc for enc, _ in visits]
+    yield "sex", [enc.sex == "female" for enc in encounters]
     for var in DEMOGRAPHIC_NAMES:
+        raw = [enc.demographics.get(var) for enc in encounters]
         for category in schema.categorical[var]:
-            cols.append(f"{var}={category}")
-        cols.append(var + "__missing")
+            yield f"{var}={category}", [value == category for value in raw]
+        yield var + "__missing", [value is None for value in raw]
     for category in MED_CATEGORY_ORDER:
-        cols.append(f"med={category}")
+        yield f"med={category}", [category in enc.med_categories for enc in encounters]
     for panel in sorted(schema.lab_panels):
         if schema.lab_panels[panel].retained:
-            cols.append(f"lab={panel}")
+            yield f"lab={panel}", [panel in enc.lab_panels for enc in encounters]
+    codes = [_encounter_codes(enc) for enc in encounters]
     for code in schema.problem_codes:
-        cols.append(f"dx={code}")
-    return cols
+        yield f"dx={code}", [code in visit_codes for visit_codes in codes]
+
+
+def _records(visits: list[Visit], schema: FeatureSchema) -> np.ndarray:
+    """The (visits, F) record rows of `visits`, filled column by column."""
+    rows = np.empty((len(visits), schema.width))
+    for target, (_, values) in zip(rows.T, _columns(visits, schema), strict=True):
+        target[:] = values
+    return rows
 
 
 def _lag_sources(schema: FeatureSchema) -> list[tuple[str, str, int]]:
@@ -150,7 +171,7 @@ def _lag_sources(schema: FeatureSchema) -> list[tuple[str, str, int]]:
 
 def _layout(schema: FeatureSchema) -> tuple[list[str], list[str]]:
     """The per-record and flat-model columns the statistics define."""
-    columns = _record_columns(schema)
+    columns = [name for name, _ in _columns([], schema)]
     lags = [f"{base}_lag{k}{suffix}" for base, suffix, k in _lag_sources(schema)]
     return columns, columns + lags + ["time_between_visits"]
 
@@ -180,32 +201,26 @@ def fit_schema(train_samples: list[CohortSample]) -> FeatureSchema:
     if not train_samples:
         raise DataError("cannot fit schema: empty training split")
 
-    observed: dict[str, list[float]] = {name: [] for name in NUMERIC_VARIABLES}
+    visits = _visits(_longest_histories(train_samples).values())
+    n_encounters = len(visits)
     vocab: dict[str, set[str]] = {var: set() for var in DEMOGRAPHIC_NAMES}
     panel_counts: dict[str, int] = {}
     codes: set[str] = set()
-    n_encounters = 0
-    for history in _longest_histories(train_samples).values():
-        for i, enc in enumerate(history):
-            n_encounters += 1
-            prev_date = history[i - 1].date if i > 0 else None
-            for name in NUMERIC_VARIABLES:
-                value = _numeric_value(enc, name, prev_date)
-                if value is not None:
-                    observed[name].append(value)
-            for var in DEMOGRAPHIC_NAMES:
-                raw = enc.demographics.get(var)
-                if raw is not None:
-                    vocab[var].add(raw)
-            for panel in enc.lab_panels:
-                panel_counts[panel] = panel_counts.get(panel, 0) + 1
-            codes.update(_encounter_codes(enc))
+    for enc, _ in visits:
+        for var in DEMOGRAPHIC_NAMES:
+            raw = enc.demographics.get(var)
+            if raw is not None:
+                vocab[var].add(raw)
+        for panel in enc.lab_panels:
+            panel_counts[panel] = panel_counts.get(panel, 0) + 1
+        codes.update(_encounter_codes(enc))
 
     numeric: dict[str, NumericStats] = {}
-    for name in NUMERIC_VARIABLES:
+    for name, column in zip(NUMERIC_VARIABLES, _numeric_values(visits).T):
+        observed = column[~np.isnan(column)]
         # A never-observed variable is missing at rate 1, so it is dropped.
-        missing_rate = 1.0 - len(observed[name]) / n_encounters
-        numeric[name] = _summary(observed[name], missing_rate, missing_rate <= MISSING_DROP_RATE)
+        missing_rate = 1.0 - len(observed) / n_encounters
+        numeric[name] = _summary(observed, missing_rate, missing_rate <= MISSING_DROP_RATE)
     horizons = [float((s.target_date - s.history[-1].date).days) for s in train_samples]
     numeric["time_between_visits"] = _summary(horizons, 0.0, True)
 
@@ -227,22 +242,16 @@ def fit_schema(train_samples: list[CohortSample]) -> FeatureSchema:
     return schema
 
 
-def _summary(values: list[float], missing_rate: float, retained: bool) -> NumericStats:
-    if not values:
+def _summary(values, missing_rate: float, retained: bool) -> NumericStats:
+    if len(values) == 0:
         return NumericStats(0.0, 0.0, 0.0, missing_rate, retained)
     mean, low, high = (float(f(values)) for f in (np.mean, np.min, np.max))
     return NumericStats(mean, low, high, missing_rate, retained)
 
 
-def impute(value: float | None, stats: NumericStats) -> tuple[float, float]:
-    """Fill an absent value with the train mean; second element flags it."""
-    if value is None:
-        return stats.mean, 1.0
-    return float(value), 0.0
-
-
-def scale_minmax(value: float, stats: NumericStats) -> float:
-    """Map the train range onto [0, 1]; constant columns collapse to 0.
+def scale_minmax(value, stats: NumericStats):
+    """Map the train range onto [0, 1], element-wise for an array; a
+    constant column collapses to 0.
 
     Test-set values outside the train range are NOT clamped, so they may
     fall outside [0, 1]; ordering information is preserved.
@@ -252,53 +261,11 @@ def scale_minmax(value: float, stats: NumericStats) -> float:
     return (value - stats.min) / (stats.max - stats.min)
 
 
-def encode_onehot(category: str | None, vocabulary: list[str]) -> tuple[np.ndarray, float]:
-    """One-hot a category; unseen values encode as all-zero.
-
-    Returns (indicator sub-vector, missing flag). An absent category is
-    all-zero with the flag set; an unseen one is all-zero with flag 0.
-    """
-    vector = np.zeros(len(vocabulary))
-    if category is None:
-        return vector, 1.0
-    try:
-        vector[vocabulary.index(category)] = 1.0
-    except ValueError:
-        pass
-    return vector, 0.0
-
-
-def _scaled(value: float | None, stats: NumericStats) -> tuple[float, float]:
-    filled, indicator = impute(value, stats)
-    return scale_minmax(filled, stats), indicator
-
-
 def transform_record(
     enc: EncounterRecord, prev_date, schema: FeatureSchema
 ) -> np.ndarray:
     """One encounter to its fixed-width feature vector."""
-    values: list[float] = []
-    for name in NUMERIC_VARIABLES:
-        stats = schema.numeric[name]
-        if not stats.retained:
-            continue
-        scaled, indicator = _scaled(_numeric_value(enc, name, prev_date), stats)
-        values.append(scaled)
-        values.append(indicator)
-    values.append(1.0 if enc.sex == "female" else 0.0)
-    for var in DEMOGRAPHIC_NAMES:
-        onehot, missing = encode_onehot(enc.demographics.get(var), schema.categorical[var])
-        values.extend(onehot)
-        values.append(missing)
-    for category in MED_CATEGORY_ORDER:
-        values.append(1.0 if category in enc.med_categories else 0.0)
-    for panel in sorted(schema.lab_panels):
-        if schema.lab_panels[panel].retained:
-            values.append(1.0 if panel in enc.lab_panels else 0.0)
-    enc_codes = _encounter_codes(enc)
-    for code in schema.problem_codes:
-        values.append(1.0 if code in enc_codes else 0.0)
-    return np.array(values, dtype=np.float64)
+    return _records([(enc, prev_date)], schema)[0]
 
 
 def _visit_rows(
@@ -311,13 +278,11 @@ def _visit_rows(
     visit: its history is the rows ending there.
     """
     longest = _longest_histories(samples)
-    rows = np.empty((sum(map(len, longest.values())), schema.width))
+    rows = _records(_visits(longest.values()), schema)
     first: dict[str, int] = {}
     r = 0
     for patient, history in longest.items():
         first[patient] = r
-        for i, enc in enumerate(history):
-            rows[r + i] = transform_record(enc, history[i - 1].date if i else None, schema)
         r += len(history)
     last = np.array([first[s.patient] + len(s.history) - 1 for s in samples], dtype=np.intp)
     return rows, last
@@ -364,13 +329,12 @@ def _flat(samples, schema, visits) -> np.ndarray:
     X[:, : schema.width] = rows[last]
     for j, (base, suffix, k) in enumerate(_lag_sources(schema), start=schema.width):
         have = depth >= k
-        X[~have, j] = _scaled(None, schema.numeric[base])[1 if suffix else 0]
+        stats = schema.numeric[base]
+        X[~have, j] = 1.0 if suffix else scale_minmax(stats.mean, stats)
         X[have, j] = rows[last[have] - (k - 1), schema.columns.index(base + suffix)]
     horizon = schema.numeric["time_between_visits"]
-    X[:, -1] = [
-        scale_minmax(float((s.target_date - s.history[-1].date).days), horizon)
-        for s in samples
-    ]
+    days = [(s.target_date - s.history[-1].date).days for s in samples]
+    X[:, -1] = scale_minmax(np.array(days, dtype=np.float64), horizon)
     return X
 
 

@@ -822,6 +822,26 @@ def test_a_data_error_in_any_cohort_block_is_a_data_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_an_oversized_csv_cell_is_a_data_error_at_any_block_count(
+    pipeline, tmp_path, monkeypatch, capsys, cores
+):
+    data = _copy_of_source_tables(pipeline, tmp_path)
+    labs = data / "labs.csv"
+    line = len(_lines(labs)) + 1
+    with labs.open("a", encoding="utf-8") as handle:
+        handle.write("P00001,2013-01-01," + "x" * 200_000 + "\n")
+    block_counts = _select_in_blocks(monkeypatch, cores)
+    out = tmp_path / "out"
+    assert main(["cohort", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cohort: {labs}: line {line}: field larger than field limit (131072)\n"
+    )
+    assert block_counts == [cores]
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 def test_a_cohort_block_process_that_dies_is_a_data_error(
     pipeline, tmp_path, monkeypatch, capsys
 ):

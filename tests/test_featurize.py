@@ -4,25 +4,31 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htnrisk.featurize as featurize
 from htnrisk.cohort import (
+    BpStatus,
+    CohortSample,
     build_samples,
     compute_bp_fraction,
     label_bp_status,
     select_cohort,
     split_patients,
 )
-from htnrisk.ehr_core import DataError, merge_patient_timeline
+from htnrisk.ehr_core import (
+    DEMOGRAPHIC_NAMES, VITAL_NAMES, DataError, EncounterRecord, merge_patient_timeline,
+)
 from htnrisk.featurize import (
     BP_LAG_DEPTH,
+    MED_CATEGORY_ORDER,
+    NUMERIC_VARIABLES,
     NumericStats,
     SEQUENCE_LENGTH,
-    encode_onehot,
     featurize_lr,
     featurize_sequences,
     fit_schema,
-    impute,
     scale_minmax,
     schema_from_dict,
     schema_hash,
@@ -35,11 +41,6 @@ STATS = NumericStats(mean=100.0, min=80.0, max=120.0, missing_rate=0.1, retained
 
 
 # -- primitives -----------------------------------------------------------------
-
-def test_impute_present_and_absent():
-    assert impute(95.0, STATS) == (95.0, 0.0)
-    assert impute(None, STATS) == (100.0, 1.0)
-
 
 def test_scale_minmax_maps_train_range_to_unit():
     assert scale_minmax(80.0, STATS) == 0.0
@@ -55,16 +56,6 @@ def test_scale_minmax_does_not_clamp_unseen_extremes():
 def test_scale_minmax_constant_column_collapses_to_zero():
     constant = NumericStats(mean=5.0, min=5.0, max=5.0, missing_rate=0.0, retained=True)
     assert scale_minmax(5.0, constant) == 0.0
-
-
-def test_encode_onehot():
-    vocab = ["married", "single"]
-    vec, missing = encode_onehot("single", vocab)
-    assert vec.tolist() == [0.0, 1.0] and missing == 0.0
-    vec, missing = encode_onehot(None, vocab)
-    assert vec.tolist() == [0.0, 0.0] and missing == 1.0
-    vec, missing = encode_onehot("widowed", vocab)  # unseen at fit time
-    assert vec.tolist() == [0.0, 0.0] and missing == 0.0
 
 
 # -- schema fitting ----------------------------------------------------------------
@@ -165,6 +156,39 @@ def test_transform_record_missing_vital_imputes_and_flags(make_timeline):
     assert vec[cols.index("bmi__missing")] == 1.0
     # imputed mean of a constant column scales to 0
     assert vec[cols.index("bmi")] == 0.0
+
+
+def test_transform_record_imputes_the_scaled_train_mean_and_flags_it(make_timeline):
+    timeline = make_timeline(5, gap_days=30)
+    for enc, weight in zip(timeline, [60.0, None, 80.0, 90.0, 120.0]):
+        enc.vitals = {} if weight is None else {"weight": weight}
+    schema = fit_schema(build_samples(timeline))  # the last visit is only a target
+    stats = schema.numeric["weight"]
+    assert (stats.min, stats.max) == (60.0, 90.0)
+    assert stats.mean == pytest.approx(230.0 / 3.0)
+    i, flag = schema.columns.index("weight"), schema.columns.index("weight__missing")
+    absent = transform_record(timeline[1], timeline[0].date, schema)
+    assert absent[[i, flag]].tolist() == [(stats.mean - 60.0) / 30.0, 1.0]
+    present = transform_record(timeline[2], timeline[1].date, schema)
+    assert present[[i, flag]].tolist() == [(80.0 - 60.0) / 30.0, 0.0]
+
+
+def test_transform_record_onehot_of_seen_absent_and_unseen_categories(make_timeline):
+    timeline = make_timeline(4, gap_days=30)
+    for enc, status in zip(timeline, ["married", "single", None]):
+        enc.demographics = {} if status is None else {"marital_status": status}
+    schema = fit_schema(build_samples(timeline))
+    assert schema.categorical["marital_status"] == ["married", "single"]
+    cols = [schema.columns.index(f"marital_status={c}") for c in ("married", "single")]
+    cols.append(schema.columns.index("marital_status__missing"))
+    visit = timeline[3]
+    for status, expected in [
+        ("single", [0.0, 1.0, 0.0]),
+        (None, [0.0, 0.0, 1.0]),
+        ("widowed", [0.0, 0.0, 0.0]),  # unseen at fit time
+    ]:
+        visit.demographics = {} if status is None else {"marital_status": status}
+        assert transform_record(visit, None, schema)[cols].tolist() == expected, status
 
 
 def test_delta_time_is_zero_on_first_visit(make_timeline):
@@ -311,6 +335,9 @@ def _reference_sequence(sample, schema):
 
 def _reference_lr_input(sample, schema):
     # The per-sample lag loop: BP readings re-read and re-scaled per lag.
+    def impute(raw, stats):  # the train mean fills an absent value, flagged
+        return (stats.mean, 1.0) if raw is None else (float(raw), 0.0)
+
     def scaled(raw, stats):
         filled, indicator = impute(raw, stats)
         return [scale_minmax(filled, stats), indicator]
@@ -367,19 +394,158 @@ def test_featurize_equals_per_sample_reference(synthetic_cohort, which):
     assert y_seq.tolist() == y_lr.tolist() == [float(s.label) for s in samples]
 
 
+_PROPERTY_VITALS = {"weight": [None, 61.5, 70.0, 92.25], "bmi": [None, 27.0]}  # bmi may be constant
+_PROPERTY_DEMOGRAPHICS = {  # language is never recorded: an empty vocabulary
+    "race": [None, "asian", "white", "black"], "marital_status": [None, "single"],
+    "language": [None], "smoking": [None, "never", "former"],
+}
+
+
+@st.composite
+def _encounters(draw, patient, when):
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    return EncounterRecord(
+        patient=patient,
+        date=when,
+        sex=pick(["female", "male"]),
+        age=pick([35.0, 71.5]),
+        systolic=pick([None, 95.0, 140.0, 151.5]),
+        diastolic=pick([None, 60.0, 89.0, 90.0]),
+        vitals={k: v for k, values in _PROPERTY_VITALS.items() if (v := pick(values)) is not None},
+        demographics={
+            k: v for k, values in _PROPERTY_DEMOGRAPHICS.items() if (v := pick(values)) is not None
+        },
+        diagnosis_code=pick([None, "I10", "N18"]),
+        med_categories=draw(st.sets(st.sampled_from(MED_CATEGORY_ORDER), max_size=2)),
+        lab_panels=draw(st.sets(st.sampled_from(["BMP", "CBC", "Lipids"]))),
+        problems=draw(st.sets(st.sampled_from(["E11", "I10"]), max_size=1)),
+    )
+
+
+@st.composite
+def _cohorts(draw):
+    """(train samples, all samples): every prefix of each random timeline
+    is a sample's history, and the first patients are the train split."""
+    samples = []
+    n_patients = draw(st.integers(1, 3))
+    for p in range(n_patients):
+        when, timeline = date(2020, 1, 1), []
+        for _ in range(draw(st.integers(2, 5))):
+            when += timedelta(days=draw(st.integers(1, 120)))
+            timeline.append(draw(_encounters(f"p{p}", when)))
+        samples += [
+            CohortSample(f"p{p}", timeline[:k], timeline[k].date, BpStatus.CONTROLLED,
+                         timeline[k].sex, k)
+            for k in range(1, len(timeline))
+        ]
+    n_train = draw(st.integers(1, n_patients))
+    return [s for s in samples if int(s.patient[1:]) < n_train], samples
+
+
+def _oracle_numerics(enc, prev):
+    """The README's per-visit numeric variables, None where absent."""
+    s, d = enc.systolic, enc.diastolic
+    both = s is not None and d is not None
+    return {
+        "systolic": s,
+        "diastolic": d,
+        "bp_fraction": s / d if both else None,
+        "bp_status": (1.0 if s >= 140.0 or d >= 90.0 else 0.0) if both else None,
+        "delta_time": 0.0 if prev is None else float((enc.date - prev.date).days),
+        "age": enc.age,
+        **{name: enc.vitals.get(name) for name in VITAL_NAMES},
+    }
+
+
+def _oracle_records(train, samples, schema):
+    """Column names and rows computed with plain Python floats from the
+    README: statistics from each train patient's visits before its last
+    target, min-max scaling (0 for a constant column) after mean
+    imputation, a missing flag per numeric kept unless missing in over 99%
+    of visits, sex, one-hot demographics of the train vocabulary with an
+    absent flag, medication families, lab panels on at least 60% of train
+    visits, and the train problem codes."""
+
+    def visits(of):
+        longest = {}
+        for sample in of:
+            if len(sample.history) > len(longest.get(sample.patient, [])):
+                longest[sample.patient] = sample.history
+        histories = [longest[patient] for patient in sorted(longest)]
+        return [(enc, h[i - 1] if i else None) for h in histories for i, enc in enumerate(h)]
+
+    fitted = visits(train)
+    numerics = [_oracle_numerics(enc, prev) for enc, prev in fitted]
+    names, kept = [], []
+    for name in NUMERIC_VARIABLES:
+        observed = [v[name] for v in numerics if v[name] is not None]
+        if len(observed) < 0.01 * len(fitted):
+            assert not schema.numeric[name].retained
+            continue
+        stats = schema.numeric[name]
+        assert stats.retained
+        assert (stats.min, stats.max) == (min(observed), max(observed))
+        assert stats.mean == pytest.approx(sum(observed) / len(observed), rel=1e-12)
+        names += [name, name + "__missing"]
+        kept.append((name, stats))
+    names.append("sex")
+    vocab = {
+        var: sorted({enc.demographics[var] for enc, _ in fitted if var in enc.demographics})
+        for var in DEMOGRAPHIC_NAMES
+    }
+    for var in DEMOGRAPHIC_NAMES:
+        names += [f"{var}={c}" for c in vocab[var]] + [var + "__missing"]
+    names += [f"med={c}" for c in MED_CATEGORY_ORDER]
+    panels = sorted({panel for enc, _ in fitted for panel in enc.lab_panels})
+    panels = [p for p in panels if sum(p in e.lab_panels for e, _ in fitted) >= 0.6 * len(fitted)]
+    names += [f"lab={panel}" for panel in panels]
+    codes = sorted({c for enc, _ in fitted for c in [*enc.problems, enc.diagnosis_code] if c})
+    names += [f"dx={code}" for code in codes]
+
+    rows = []
+    for enc, prev in visits(samples):
+        raw, row = _oracle_numerics(enc, prev), []
+        for name, stats in kept:
+            value = stats.mean if raw[name] is None else raw[name]
+            span = stats.max - stats.min
+            row += [(value - stats.min) / span if span else 0.0, float(raw[name] is None)]
+        row.append(float(enc.sex == "female"))
+        for var in DEMOGRAPHIC_NAMES:
+            category = enc.demographics.get(var)
+            row += [float(category == c) for c in vocab[var]] + [float(category is None)]
+        row += [float(c in enc.med_categories) for c in MED_CATEGORY_ORDER]
+        row += [float(panel in enc.lab_panels) for panel in panels]
+        row += [float(code in enc.problems or code == enc.diagnosis_code) for code in codes]
+        rows.append(row)
+    return names, rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cohorts())
+def test_visit_rows_equal_a_plain_python_oracle_property(cohort):
+    train, samples = cohort
+    schema = fit_schema(train)
+    names, expected = _oracle_records(train, samples, schema)
+    rows, _ = featurize._visit_rows(samples, schema)
+    assert schema.columns == names
+    assert rows.tolist() == expected
+
+
 def test_each_distinct_encounter_is_featurized_once(synthetic_cohort, monkeypatch, tmp_path):
     cohort, schema = synthetic_cohort
     calls = []
-    original = featurize.transform_record
+    original = featurize._records
 
-    def counted(enc, prev_date, schema):
-        calls.append((enc.patient, enc.date))
-        return original(enc, prev_date, schema)
+    def counted(visits, schema):
+        calls.extend((enc.patient, enc.date) for enc, _ in visits)
+        return original(visits, schema)
 
     def export(samples, schema):
         featurize.export_csv(samples, schema, tmp_path / "seq.csv", tmp_path / "lr.csv")
 
-    monkeypatch.setattr(featurize, "transform_record", counted)
+    monkeypatch.setattr(featurize, "_records", counted)
     for build in (featurize_sequences, featurize_lr, export):
         calls.clear()
         build(cohort.samples, schema)
