@@ -19,6 +19,10 @@ fastest and the slowest run in seconds:
   exclusions, samples), and `select_cohort`, which adds the split;
 - `cohort_to_dict`, and `canonical_json` of its result: the samples file
   serialized whole;
+- `cohort_from_dict.train_validation` and `cohort_from_dict.test`: that
+  file decoded for the train and validation splits, as each `train` stage
+  decodes it, and for the test split, as `evaluate` and `attribute` do;
+  each decode must give the selection's samples of those splits;
 - `encode_and_write_samples`: each survivor's encounters and the sample
   rows encoded to canonical JSON, then written by `write_samples`.
 
@@ -130,6 +134,12 @@ def measure(data: Path, repeats: int) -> dict:
     layers["cohort_to_dict"] = timed(repeats, lambda: cohort.cohort_to_dict(selected))
     as_dict = cohort.cohort_to_dict(selected)
     layers["canonical_json"] = timed(repeats, lambda: canonical_json(as_dict))
+    for name, splits in [("train_validation", ("train", "validation")), ("test", ("test",))]:
+        layers[f"cohort_from_dict.{name}"] = timed(
+            repeats, lambda: cohort.cohort_from_dict(as_dict, splits))
+        decoded = cohort.cohort_from_dict(as_dict, splits).samples
+        if len(decoded) != sum(len(selected.samples_in(split)) for split in splits):
+            raise SystemExit(f"cohort_from_dict decoded {len(decoded)} samples of {splits}")
     del as_dict
     layers["encode_and_write_samples"] = None
     if hasattr(cohort, "write_samples"):

@@ -401,8 +401,10 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
     integers, a total below the patients plus the excluded, an unknown
     split name, a sample of an unknown patient, a target index outside its
     patient's timeline (or at 0, which leaves no history) and a label other
-    than 0 or 1 are each a DataError, as is an encounter that
-    `encounter_from_dict` rejects among the decoded ones.
+    than 0 or 1 are each a DataError. So, for a decoded patient, are an
+    encounter that `encounter_from_dict` rejects or of another patient, and
+    rows other than those of the samples `build_samples` makes of its
+    timeline; the samples come out in patient-entry order.
     """
     require_format(data, SAMPLES_FORMAT, "samples")
     horizon_days, total_patients, tally, patients, rows = require_keys(
@@ -437,8 +439,10 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
                 timelines[patient] = [encounter_from_dict(e) for e in encounters]
             except DataError as err:
                 raise DataError(f"patient {patient}: {err}") from None
+            if any(enc.patient != patient for enc in timelines[patient]):
+                raise DataError(f"patient {patient}: an encounter names another patient")
             kept_splits[patient] = split
-    samples = []
+    rows_of = {patient: [] for patient in timelines}
     for row in rows:
         patient = require(row, "patient", STRING, "sample")
         if patient not in lengths:
@@ -450,21 +454,15 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
             )
         if label not in (0, 1):
             raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
-        timeline = timelines.get(patient)
-        if timeline is None:
-            continue
-        target = timeline[idx]
-        samples.append(
-            CohortSample(
-                patient=patient,
-                history=timeline[:idx],
-                target_date=target.date,
-                label=BpStatus(label),
-                sex=target.sex,
-                target_index=idx,
-                final=final,
-            )
-        )
+        if patient in rows_of:
+            rows_of[patient].append((idx, label, final))
+    samples = []
+    for patient, timeline in timelines.items():
+        derived = build_samples(timeline, horizon_days)
+        if rows_of[patient] != [(s.target_index, int(s.label), s.final) for s in derived]:
+            raise DataError(
+                f"patient {patient}: sample rows differ from the ones its timeline yields")
+        samples.extend(derived)
     return Cohort(
         timelines=timelines,
         samples=samples,

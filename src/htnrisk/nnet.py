@@ -74,7 +74,7 @@ class LrParams:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_features: int) -> "LrParams":
-        return cls(w=vec[:n_features].copy(), b=float(vec[n_features]))
+        return cls(w=vec[:n_features], b=float(vec[n_features]))
 
 
 def init_lr_params(n_features: int) -> LrParams:
@@ -156,10 +156,10 @@ class LstmParams:
         b_start = u_start + hidden * width
         dense_start = b_start + width
         return cls(
-            W=vec[:u_start].reshape(n_features, width).copy(),
-            U=vec[u_start:b_start].reshape(hidden, width).copy(),
-            b=vec[b_start:dense_start].copy(),
-            dense_w=vec[dense_start : dense_start + hidden].copy(),
+            W=vec[:u_start].reshape(n_features, width),
+            U=vec[u_start:b_start].reshape(hidden, width),
+            b=vec[b_start:dense_start],
+            dense_w=vec[dense_start : dense_start + hidden],
             dense_b=float(vec[dense_start + hidden]),
         )
 

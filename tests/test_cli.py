@@ -1057,6 +1057,50 @@ def test_unknown_split_is_a_data_error(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _renamed_first_encounter(data, patient, at):
+    other = next(p for p in data["patients"] if p != patient)
+    data["patients"][patient]["encounters"][0]["patient"] = other
+
+
+_ROWS_DIFFER = "sample rows differ from the ones its timeline yields"
+
+#: Damages to one patient of a samples file: each takes the file, the
+#: patient and the positions of its sample rows, the final one last.
+_PATIENT_DAMAGES = [
+    pytest.param(lambda data, patient, at: data["samples"].insert(at[-1], dict(
+        data["samples"][at[-1]])), _ROWS_DIFFER, id="duplicated-final-row"),
+    pytest.param(lambda data, patient, at: data["samples"][at[0]].update(final=True),
+                 _ROWS_DIFFER, id="second-final"),
+    pytest.param(lambda data, patient, at: data["samples"][at[-1]].update(
+        label=1 - data["samples"][at[-1]]["label"]), _ROWS_DIFFER, id="flipped-label"),
+    pytest.param(lambda data, patient, at: data["samples"].pop(at[0]), _ROWS_DIFFER,
+                 id="dropped-row"),
+    pytest.param(_renamed_first_encounter, "an encounter names another patient",
+                 id="encounter-of-another-patient"),
+]
+
+
+@pytest.mark.parametrize("split", ["test", "train"])
+@pytest.mark.parametrize(("damage", "message"), _PATIENT_DAMAGES)
+def test_sample_rows_other_than_the_timeline_yields_are_a_data_error(
+    pipeline, tmp_path, capsys, damage, message, split
+):
+    # evaluate decodes the test split only: a train patient's damage does not stop it.
+    data = read_json(pipeline["cohort"] / "samples.json")
+    patient = next(p for p, entry in data["patients"].items() if entry["split"] == split
+                   and sum(row["patient"] == p for row in data["samples"]) >= 2)
+    damage(data, patient, [i for i, row in enumerate(data["samples"]) if row["patient"] == patient])
+    path = tmp_path / "samples.json"
+    write_json(path, data)
+    code = main(["evaluate", "--model", str(pipeline["lr"] / "model.json"),
+                 "--samples", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if split == "train":
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: evaluate: patient {patient}: {message}\n")
+
+
 def _evaluate_damaged_model(pipeline, tmp_path, damage, kind="lstm") -> int:
     model = read_json(pipeline[kind] / "model.json")
     damage(model)

@@ -562,6 +562,51 @@ def test_damaged_samples_load_and_featurize_or_raise_data_error_property(data):
         pass
 
 
+_ONE_PER_SPLIT = copy.deepcopy(_CLEAN_SAMPLES)
+for _entry, _split in zip(_ONE_PER_SPLIT["patients"].values(), SPLIT_NAMES):
+    _entry["split"] = _split
+
+
+def _other_splits(split: str) -> tuple[str, ...]:
+    return tuple(name for name in SPLIT_NAMES if name != split)
+
+
+_CLEAN_OTHER_SAMPLES = {
+    split: cohort_from_dict(_ONE_PER_SPLIT, _other_splits(split)).samples for split in SPLIT_NAMES
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_damaged_sample_row_stops_only_the_decode_of_its_split_property(data):
+    # One patient in each split. One row is duplicated or dropped, or its
+    # label, its final flag or its target_index (to another index inside
+    # the timeline) changes.
+    damaged = copy.deepcopy(_ONE_PER_SPLIT)
+    rows = damaged["samples"]
+    at = data.draw(st.integers(0, len(rows) - 1))
+    row = rows[at]
+    patient = row["patient"]
+    moves = [i for i in range(1, len(damaged["patients"][patient]["encounters"]))
+             if i != row["target_index"]]
+    damage = data.draw(st.sampled_from(
+        ["duplicate", "drop", "label", "final"] + (["move"] if moves else [])))
+    if damage == "duplicate":
+        rows.insert(at, dict(row))
+    elif damage == "drop":
+        del rows[at]
+    elif damage == "label":
+        row["label"] = 1 - row["label"]
+    elif damage == "final":
+        row["final"] = not row["final"]
+    else:
+        row["target_index"] = data.draw(st.sampled_from(moves))
+    split = damaged["patients"][patient]["split"]
+    with pytest.raises(DataError, match=f"^patient {patient}: sample rows differ"):
+        cohort_from_dict(damaged, (split,))
+    assert cohort_from_dict(damaged, _other_splits(split)).samples == _CLEAN_OTHER_SAMPLES[split]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_damaged_schema_loads_and_featurizes_or_raises_data_error_property(data):

@@ -119,6 +119,15 @@ def test_lr_init_is_zero():
     assert np.all(params.w == 0.0)
 
 
+def test_lr_vector_round_trip(rng):
+    params = LrParams(w=rng.normal(size=3), b=0.3)
+    vec = params.to_vector()
+    restored = LrParams.from_vector(vec, 3)
+    np.testing.assert_array_equal(restored.w, params.w)
+    assert restored.b == params.b
+    assert np.shares_memory(restored.w, vec)  # a view, as for the LSTM
+
+
 def test_lr_nonfinite_input_raises(rng):
     params = LrParams(w=np.ones(2), b=0.0)
     X = np.array([[1.0, np.inf]])
@@ -188,6 +197,9 @@ def test_lstm_vector_round_trip(rng):
         np.testing.assert_array_equal(
             getattr(restored, field.name), getattr(params, field.name), err_msg=field.name
         )
+    # The arrays are views of the vector: training rebuilds them every minibatch.
+    for name in ("W", "U", "b", "dense_w"):
+        assert np.shares_memory(getattr(restored, name), vec), name
 
 
 # -- LSTM forward against a scalar-loop oracle --------------------------------------
