@@ -459,7 +459,7 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
     samples = []
     for patient, timeline in timelines.items():
         derived = build_samples(timeline, horizon_days)
-        if rows_of[patient] != [(s.target_index, int(s.label), s.final) for s in derived]:
+        if rows_of.pop(patient) != [(s.target_index, int(s.label), s.final) for s in derived]:
             raise DataError(
                 f"patient {patient}: sample rows differ from the ones its timeline yields")
         samples.extend(derived)
