@@ -402,9 +402,9 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
     split name, a sample of an unknown patient, a target index outside its
     patient's timeline (or at 0, which leaves no history) and a label other
     than 0 or 1 are each a DataError. So, for a decoded patient, are an
-    encounter that `encounter_from_dict` rejects or of another patient, and
-    rows other than those of the samples `build_samples` makes of its
-    timeline; the samples come out in patient-entry order.
+    encounter that `encounter_from_dict` rejects or that names another
+    patient, and sample rows other than those of the samples `build_samples`
+    makes of its timeline; the samples come out in patient-entry order.
     """
     require_format(data, SAMPLES_FORMAT, "samples")
     horizon_days, total_patients, tally, patients, rows = require_keys(

@@ -125,7 +125,7 @@ def test_lr_vector_round_trip(rng):
     restored = LrParams.from_vector(vec, 3)
     np.testing.assert_array_equal(restored.w, params.w)
     assert restored.b == params.b
-    assert np.shares_memory(restored.w, vec)  # a view, as for the LSTM
+    assert np.shares_memory(restored.w, vec)
 
 
 def test_lr_nonfinite_input_raises(rng):
