@@ -7,9 +7,10 @@ Runs generate, cohort and featurize on the 5,000-patient positive control
 (configs/acceptance_positive.kv), as the `etl` benchmark times them, then
 the `train` benchmark's timed stages on their outputs: LR at 150 epochs,
 the LSTM at 4, both evaluations on the test split and attribution at 128
-steps. All run in this process, in a temporary directory, and it prints
-the process's peak RSS (`ru_maxrss` of RUSAGE_SELF, in MB) after each
-stage, so the stage that raises the peak shows. The peak never falls, so
+steps: the stages and argv of perfbench/workloads.py. All run in this
+process, in a temporary directory, and it prints the process's peak RSS
+(`ru_maxrss` of RUSAGE_SELF, in MB) after each stage, so the stage that
+raises the peak shows. The peak never falls, so
 after the first iteration only a stage that raises it further shows.
 Forked block processes are not counted, as the benchmark does not count
 them. It is not part of the test suite.
@@ -30,6 +31,8 @@ from pathlib import Path
 from htnrisk.cli import main as run_stage
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import GENERATOR_CONFIG, TRAIN_TIMED, build_stages  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -37,27 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--iterations", type=int, default=3)
     args = parser.parse_args(argv)
-    config = str(ROOT / "configs" / "acceptance_positive.kv")
-    samples = ["--samples", "cohort/samples.json"]
-    stages = [
-        ("generate", ["generate", "--config", config, "--seed", str(args.seed), "--out", "data"]),
-        ("cohort", ["cohort", "--data", "data", "--out", "cohort"]),
-        ("featurize", ["featurize", *samples, "--out", "features"]),
-    ]
-    for model, epochs in (("lr", "150"), ("lstm", "4")):
-        stages.append((f"train_{model}", [
-            "train", *samples, "--schema", "features/schema.json", "--model", model,
-            "--epochs", epochs, "--seed", "0", "--out", model,
-        ]))
-    for model in ("lr", "lstm"):
-        stages.append((f"evaluate_{model}", [
-            "evaluate", "--model", f"{model}/model.json", *samples, "--split", "test",
-            "--out", f"eval_{model}",
-        ]))
-    stages.append(("attribute", [
-        "attribute", "--model", "lstm/model.json", *samples, "--split", "test",
-        "--steps", "128", "--out", "attr",
-    ]))
+    stages = build_stages(str(ROOT / GENERATOR_CONFIG), args.seed) + TRAIN_TIMED
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         print(f"{'iteration':>9} {'stage':>13} {'peak_mb':>8}")

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import format_number, write_csv
-from .nnet import LrParams, LstmParams, lstm_input_gradients
+from .nnet import LstmParams, lstm_input_gradients
 from .parallel import block_ranges, one_blas_thread, run_blocks, usable_cores
 
 DEFAULT_STEPS = 128
@@ -81,11 +81,6 @@ def rank_features(names: list[str], scores: np.ndarray, k: int) -> list[tuple[st
         raise ValueError("names and scores must align")
     order = sorted(range(scores.size), key=lambda i: (-abs(scores[i]), i))
     return [(names[i], float(scores[i])) for i in order[: min(k, scores.size)]]
-
-
-def rank_lr_weights(params: LrParams, names: list[str], k: int) -> list[tuple[str, float]]:
-    """Top-k model coefficients by magnitude, signed."""
-    return rank_features(names, params.w, k)
 
 
 def aggregate_sequence_attributions(attributions: np.ndarray) -> np.ndarray:

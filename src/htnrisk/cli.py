@@ -408,7 +408,6 @@ def cmd_attribute(args) -> int:
         lstm_scorer,
         population_attributions,
         rank_features,
-        rank_lr_weights,
         write_ranked_csv,
         write_sequence_attribution_csv,
     )
@@ -423,7 +422,7 @@ def cmd_attribute(args) -> int:
     outputs = {}
     if kind == "lr":
         inputs = {"model": args.model}
-        ranked = rank_lr_weights(params, schema.lr_columns, args.top)
+        ranked = rank_features(schema.lr_columns, params.w, args.top)
         weights_path = out / "lr_weights.csv"
         write_ranked_csv(ranked, weights_path, value_column="weight")
         outputs["lr_weights"] = weights_path

@@ -390,21 +390,27 @@ def write_samples(
         handle.write(b'],"total_patients":%d}\n' % total_patients)
 
 
+def _row_patient(row, patients: dict) -> str:
+    """The patient of a sample row; a DataError unless it has an entry."""
+    patient = require(row, "patient", STRING, "sample")
+    if patient not in patients:
+        raise DataError(f"sample of unknown patient {patient!r}")
+    return patient
+
+
 def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohort:
     """Inverse of cohort_to_dict, decoding only the patients of `splits`.
 
     The returned cohort holds those patients' timelines, split assignments
-    and samples. Every patient entry and sample row of the file is still
-    checked: a missing key or a value of another JSON type in the top level,
-    a patient entry or a sample row, a horizon below one day, a tally whose
-    keys are not EXCLUSION_RULES or whose counts are not non-negative
-    integers, a total below the patients plus the excluded, an unknown
-    split name, a sample of an unknown patient, a target index outside its
-    patient's timeline (or at 0, which leaves no history) and a label other
-    than 0 or 1 are each a DataError. So, for a decoded patient, are an
-    encounter that `encounter_from_dict` rejects or that names another
-    patient, and sample rows other than those of the samples `build_samples`
-    makes of its timeline; the samples come out in patient-entry order.
+    and samples, in patient-entry order. One step per patient entry checks
+    the entry and its sample rows, which must follow the rows of the entry
+    before it, and decodes the patient if it is in `splits`. Each check of
+    README "cohort" is a DataError: of the top level, the tally and the
+    total; of every entry and row (types, split name, known patient, target
+    index in 1..len(timeline)-1, label 0 or 1); and, for a decoded patient,
+    of its encounters (`encounter_from_dict`, its own patient id, date
+    order) and of its rows, which must be those of the samples
+    `build_samples` makes of its timeline.
     """
     require_format(data, SAMPLES_FORMAT, "samples")
     horizon_days, total_patients, tally, patients, rows = require_keys(
@@ -426,48 +432,40 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
             f"samples file total_patients {total_patients} is less than its "
             f"{len(patients)} patients plus {excluded} excluded"
         )
-    lengths = {}
-    timelines = {}
-    kept_splits = {}
+    cohort = Cohort(timelines={}, samples=[], splits={}, exclusion_tally=dict(tally),
+                    total_patients=total_patients, horizon_days=horizon_days)
+    at = 0  # the first sample row of the patient entry at hand
     for patient, entry in patients.items():
         split, encounters = require_keys(entry, _ENTRY_KINDS, f"patient {patient}: entry")
         if split not in SPLIT_NAMES:
             raise DataError(f"patient {patient}: unknown split {split!r}")
-        lengths[patient] = len(encounters)
-        if split in splits:
-            try:
-                timelines[patient] = [encounter_from_dict(e) for e in encounters]
-            except DataError as err:
-                raise DataError(f"patient {patient}: {err}") from None
-            if any(enc.patient != patient for enc in timelines[patient]):
-                raise DataError(f"patient {patient}: an encounter names another patient")
-            kept_splits[patient] = split
-    rows_of = {patient: [] for patient in timelines}
-    for row in rows:
-        patient = require(row, "patient", STRING, "sample")
-        if patient not in lengths:
-            raise DataError(f"sample of unknown patient {patient!r}")
-        idx, label, final = require_keys(row, _ROW_KINDS, f"patient {patient}:")
-        if not 1 <= idx < lengths[patient]:
-            raise DataError(
-                f"patient {patient}: target_index {idx!r} outside 1..{lengths[patient] - 1}"
-            )
-        if label not in (0, 1):
-            raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
-        if patient in rows_of:
-            rows_of[patient].append((idx, label, final))
-    samples = []
-    for patient, timeline in timelines.items():
+        own = []
+        while at < len(rows) and _row_patient(rows[at], patients) == patient:
+            idx, label, final = require_keys(rows[at], _ROW_KINDS, f"patient {patient}:")
+            if not 1 <= idx < len(encounters):
+                raise DataError(
+                    f"patient {patient}: target_index {idx!r} outside 1..{len(encounters) - 1}")
+            if label not in (0, 1):
+                raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
+            own.append((idx, label, final))
+            at += 1
+        if split not in splits:
+            continue
+        try:
+            timeline = [encounter_from_dict(e) for e in encounters]
+        except DataError as err:
+            raise DataError(f"patient {patient}: {err}") from None
+        if any(enc.patient != patient for enc in timeline):
+            raise DataError(f"patient {patient}: an encounter names another patient")
+        if any(a.date > b.date for a, b in zip(timeline, timeline[1:])):
+            raise DataError(f"patient {patient}: encounters are not in date order")
         derived = build_samples(timeline, horizon_days)
-        if rows_of.pop(patient) != [(s.target_index, int(s.label), s.final) for s in derived]:
+        if own != [(s.target_index, int(s.label), s.final) for s in derived]:
             raise DataError(
                 f"patient {patient}: sample rows differ from the ones its timeline yields")
-        samples.extend(derived)
-    return Cohort(
-        timelines=timelines,
-        samples=samples,
-        splits=kept_splits,
-        exclusion_tally=dict(tally),
-        total_patients=total_patients,
-        horizon_days=horizon_days,
-    )
+        cohort.timelines[patient], cohort.splits[patient] = timeline, split
+        cohort.samples.extend(derived)
+    if at < len(rows):
+        raise DataError(f"patient {_row_patient(rows[at], patients)}: sample rows are not "
+                        f"in patient-entry order")
+    return cohort

@@ -16,11 +16,10 @@ from htnrisk.attribution import (
     lstm_scorer,
     population_attributions,
     rank_features,
-    rank_lr_weights,
     write_ranked_csv,
     write_sequence_attribution_csv,
 )
-from htnrisk.nnet import LrParams, init_lstm_params
+from htnrisk.nnet import init_lstm_params
 from htnrisk.train import predict_proba
 
 
@@ -225,12 +224,6 @@ def test_rank_features_caps_and_validates():
         rank_features(["a"], np.array([1.0]), k=0)
     with pytest.raises(ValueError):
         rank_features(["a", "b"], np.array([1.0]), k=1)
-
-
-def test_rank_lr_weights(rng):
-    params = LrParams(w=np.array([0.5, -3.0, 1.0]), b=9.0)
-    ranked = rank_lr_weights(params, ["x", "y", "z"], k=2)
-    assert ranked == [("y", -3.0), ("z", 1.0)]  # bias never ranked
 
 
 # -- exports ---------------------------------------------------------------------------

@@ -191,11 +191,19 @@ def test_evaluate_stage_artifacts(pipeline):
     assert (out / "roc_baseline.csv").exists()
 
 
-def test_attribute_lr_ranks_weights(pipeline):
+def test_attribute_lr_ranks_weights(pipeline, tmp_path):
     lines = _lines(pipeline["attr_lr"] / "lr_weights.csv")
     assert lines[0] == "feature,weight,rank"
-    assert len(lines) - 1 == 20  # default --top
     assert lines[1].endswith(",1")
+    # min(--top, F) rows, never the bias: a --top beyond F ranks each
+    # weight once and nothing else.
+    columns = read_json(pipeline["features"] / "schema.json")["lr_columns"]
+    assert main(["attribute", "--model", str(pipeline["lr"] / "model.json"),
+                 "--top", str(len(columns) + 5), "--out", str(tmp_path)]) == 0
+    for top, out in ((20, pipeline["attr_lr"]), (len(columns) + 5, tmp_path)):  # 20: default
+        names = [line.split(",")[0] for line in _lines(out / "lr_weights.csv")[1:]]
+        assert len(names) == min(top, len(columns))
+        assert set(names) <= set(columns) and len(set(names)) == len(names)
 
 
 def test_attribute_lstm_writes_per_step_and_aggregate(pipeline):
@@ -969,6 +977,14 @@ def _damage_encounter(key, value=None):
     return damage
 
 
+def _swap_dated_encounters(data):
+    """Swap a train patient's first two adjacent encounters of different dates."""
+    encounters = data["patients"][_first_train_patient(data)]["encounters"]
+    i = next(i for i in range(len(encounters) - 1)
+             if encounters[i]["date"] != encounters[i + 1]["date"])
+    encounters[i], encounters[i + 1] = encounters[i + 1], encounters[i]
+
+
 def _drop_sample_patient(data):
     del data["samples"][0]["patient"]
 
@@ -1000,6 +1016,8 @@ _DAMAGED_SAMPLES = [
                  "encounter date '2020-13-01' is not an ISO date", id="month-13"),
     pytest.param(_damage_encounter("systolic", "high"),
                  "encounter systolic 'high' is not a number or null", id="systolic-text"),
+    pytest.param(_swap_dated_encounters, "encounters are not in date order",
+                 id="dates-out-of-order"),
     pytest.param(lambda d: d.update(horizon_days=0),
                  "samples file horizon_days must be at least 1, got 0", id="horizon-0"),
     pytest.param(_tally("deceased", "many"),

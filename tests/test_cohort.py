@@ -1,5 +1,6 @@
 """Labeling, exclusion cascade, sample construction, and splits."""
 
+import contextlib
 import copy
 import random
 from collections import Counter
@@ -491,6 +492,26 @@ def test_cohort_from_dict_decodes_only_the_named_splits():
         cohort_from_dict(data, rest)
 
 
+def test_visits_of_one_date_load(make_timeline):
+    # Dates must not decrease; ties are allowed.
+    timeline = make_timeline(4, gap_days=30)
+    timeline[2].date = timeline[1].date
+    cohort = select_cohort({"p1": timeline})
+    assert cohort_from_dict(cohort_to_dict(cohort)).samples == cohort.samples
+
+
+def test_sample_rows_out_of_patient_entry_order_are_a_data_error():
+    data = copy.deepcopy(_ONE_PER_SPLIT)
+    first = data["samples"].pop(0)
+    data["samples"].append(first)
+    split = data["patients"][first["patient"]]["split"]
+    with pytest.raises(DataError, match=f"^patient {first['patient']}: sample rows differ"):
+        cohort_from_dict(data, (split,))
+    with pytest.raises(DataError, match=f"^patient {first['patient']}: sample rows are not in "
+                                        "patient-entry order$"):
+        cohort_from_dict(data, _other_splits(split))
+
+
 def test_exclusion_rules_tuple_is_the_cascade_order():
     assert EXCLUSION_RULES == (
         "deceased",
@@ -581,17 +602,26 @@ _CLEAN_OTHER_SAMPLES = {
 def test_a_damaged_sample_row_stops_only_the_decode_of_its_split_property(data):
     # One patient in each split. One row is duplicated or dropped, or its
     # label, its final flag or its target_index (to another index inside
-    # the timeline) changes.
+    # the timeline) changes, or two of its patient's visits of different
+    # dates swap places.
     damaged = copy.deepcopy(_ONE_PER_SPLIT)
     rows = damaged["samples"]
     at = data.draw(st.integers(0, len(rows) - 1))
     row = rows[at]
     patient = row["patient"]
-    moves = [i for i in range(1, len(damaged["patients"][patient]["encounters"]))
-             if i != row["target_index"]]
-    damage = data.draw(st.sampled_from(
-        ["duplicate", "drop", "label", "final"] + (["move"] if moves else [])))
-    if damage == "duplicate":
+    encounters = damaged["patients"][patient]["encounters"]
+    moves = [i for i in range(1, len(encounters)) if i != row["target_index"]]
+    swaps = [(i, j) for j in range(len(encounters)) for i in range(j)
+             if encounters[i]["date"] != encounters[j]["date"]]
+    damage = data.draw(st.sampled_from(["duplicate", "drop", "label", "final"]
+                                       + (["move"] if moves else [])
+                                       + (["swap"] if swaps else [])))
+    message = "sample rows differ"
+    if damage == "swap":
+        i, j = data.draw(st.sampled_from(swaps))
+        encounters[i], encounters[j] = encounters[j], encounters[i]
+        message = "encounters are not in date order"
+    elif damage == "duplicate":
         rows.insert(at, dict(row))
     elif damage == "drop":
         del rows[at]
@@ -602,9 +632,23 @@ def test_a_damaged_sample_row_stops_only_the_decode_of_its_split_property(data):
     else:
         row["target_index"] = data.draw(st.sampled_from(moves))
     split = damaged["patients"][patient]["split"]
-    with pytest.raises(DataError, match=f"^patient {patient}: sample rows differ"):
+    with pytest.raises(DataError, match=f"^patient {patient}: {message}"):
         cohort_from_dict(damaged, (split,))
     assert cohort_from_dict(damaged, _other_splits(split)).samples == _CLEAN_OTHER_SAMPLES[split]
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["undamaged", "damaged"])
+def test_decoding_leaves_the_samples_dict_unchanged(damaged):
+    # bench/layers.py and perfbench/worker.py decode one parsed file
+    # repeatedly. The damage, a flipped label in the last row, raises after
+    # every patient was decoded.
+    data = copy.deepcopy(_ONE_PER_SPLIT)
+    if damaged:
+        data["samples"][-1]["label"] = 1 - data["samples"][-1]["label"]
+    before = copy.deepcopy(data)
+    with pytest.raises(DataError) if damaged else contextlib.nullcontext():
+        cohort_from_dict(data)
+    assert data == before
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
