@@ -439,7 +439,7 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
         split, encounters = require_keys(entry, _ENTRY_KINDS, f"patient {patient}: entry")
         if split not in SPLIT_NAMES:
             raise DataError(f"patient {patient}: unknown split {split!r}")
-        own = []
+        own, decoded = [], split in splits
         while at < len(rows) and _row_patient(rows[at], patients) == patient:
             idx, label, final = require_keys(rows[at], _ROW_KINDS, f"patient {patient}:")
             if not 1 <= idx < len(encounters):
@@ -447,9 +447,10 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
                     f"patient {patient}: target_index {idx!r} outside 1..{len(encounters) - 1}")
             if label not in (0, 1):
                 raise DataError(f"patient {patient}: label {label!r} is not 0 or 1")
-            own.append((idx, label, final))
+            if decoded:
+                own.append((idx, label, final))
             at += 1
-        if split not in splits:
+        if not decoded:
             continue
         try:
             timeline = [encounter_from_dict(e) for e in encounters]
