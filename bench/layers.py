@@ -23,8 +23,9 @@ fastest and the slowest run in seconds:
   file decoded for the train and validation splits, as each `train` stage
   decodes it, and for the test split, as `evaluate` and `attribute` do;
   each decode must give the selection's samples of those splits;
-- `encode_and_write_samples`: each survivor's encounters and the sample
-  rows encoded to canonical JSON, then written by `write_samples`.
+- `encode_and_write_samples`: the selection encoded by `encode_part` (its
+  sample rows and each survivor's encounters, as canonical JSON), then
+  written by `write_samples`.
 
 The run is recorded with the commit of the checkout the `htnrisk` package
 was imported from (and whether its `src/` has uncommitted changes), the
@@ -142,20 +143,13 @@ def measure(data: Path, repeats: int) -> dict:
             raise SystemExit(f"cohort_from_dict decoded {len(decoded)} samples of {splits}")
     del as_dict
     layers["encode_and_write_samples"] = None
-    if hasattr(cohort, "write_samples"):
+    if hasattr(cohort, "encode_part"):
         out = data / "samples.json"
 
         def encode_and_write():
-            encoded = [
-                canonical_json([ehr_core.encounter_to_dict(e) for e in timeline]).encode()
-                for timeline in selected.timelines.values()
-            ]
-            rows = canonical_json(cohort.sample_rows(selected.samples)).encode()
             cohort.write_samples(
                 out, selected.horizon_days, selected.total_patients, selected.exclusion_tally,
-                ((p, selected.splits[p], e) for p, e in zip(selected.timelines, encoded)),
-                [rows],
-            )
+                selected.splits, [(list(selected.timelines), cohort.encode_part(selected))])
 
         layers["encode_and_write_samples"] = timed(repeats, encode_and_write)
         expected = canonical_json(cohort.cohort_to_dict(selected)) + "\n"

@@ -28,7 +28,7 @@ from .cohort import (
     check_horizon,
     check_split_fractions,
     cohort_from_dict,
-    sample_rows,
+    encode_part,
     select_patients,
     split_patients,
     write_exclusion_report,
@@ -39,7 +39,6 @@ from .ehr_core import (
     DataError,
     MergeStats,
     RowError,
-    encounter_to_dict,
     merge_patient_timeline,
     parse_table,
     patient_ids,
@@ -137,8 +136,8 @@ def _cohort_block(data_dir: Path, ids: list, horizon: int, fiscal_year_start: in
     """Parse, merge, select and encode the patients from `ids[block.start]`
     up to `ids[block.stop]`; the first block has no lower bound and the
     last no upper one, so every patient id falls in exactly one block.
-    Returns, as UTF-8 canonical JSON, the block's counts, row errors and
-    survivors; its sample rows; and each survivor's encoded encounters."""
+    Returns the UTF-8 canonical JSON of the block's counts, row errors and
+    survivors, then the block's `encode_part` pieces."""
     low = ids[block.start] if block.start > 0 else None
     high = ids[block.stop] if block.stop < len(ids) else None
     row_errors = []
@@ -161,12 +160,7 @@ def _cohort_block(data_dir: Path, ids: list, horizon: int, fiscal_year_start: in
         "row_errors": [[e.row, e.table, e.message] for e in row_errors],
         "patients": list(part.timelines),
     }
-    return [
-        canonical_json(summary).encode("utf-8"),
-        canonical_json(sample_rows(part.samples)).encode("utf-8"),
-        *(canonical_json([encounter_to_dict(e) for e in timeline]).encode("utf-8")
-          for timeline in part.timelines.values()),
-    ]
+    return [canonical_json(summary).encode("utf-8"), *encode_part(part)]
 
 
 def cmd_cohort(args) -> int:
@@ -201,13 +195,8 @@ def cmd_cohort(args) -> int:
     total_patients = sum(part["total_patients"] for part in parts)
     out = _out_dir(args)
     samples_path = out / "samples.json"
-    write_samples(
-        samples_path, args.horizon, total_patients, tally,
-        ((patient, splits[patient], encounters)
-         for part, buffers in zip(parts, results)
-         for patient, encounters in zip(part["patients"], buffers[2:])),
-        (buffers[1] for buffers in results),
-    )
+    write_samples(samples_path, args.horizon, total_patients, tally, splits,
+                  [(part["patients"], buffers[1:]) for part, buffers in zip(parts, results)])
     exclusions_path = out / "exclusions.csv"
     write_exclusion_report(tally, total_patients, exclusions_path)
     errors_path = out / "row_errors.csv"
@@ -418,11 +407,11 @@ def cmd_attribute(args) -> int:
     if args.steps <= 0:
         raise ValueError("--steps must be positive")
     kind, params, schema, _training = load_model(args.model)
-    out = _out_dir(args)
     outputs = {}
     if kind == "lr":
         inputs = {"model": args.model}
         ranked = rank_features(schema.lr_columns, params.w, args.top)
+        out = _out_dir(args)
         weights_path = out / "lr_weights.csv"
         write_ranked_csv(ranked, weights_path, value_column="weight")
         outputs["lr_weights"] = weights_path
@@ -432,6 +421,7 @@ def cmd_attribute(args) -> int:
             raise ValueError("--samples is required for lstm models")
         inputs = {"model": args.model, "samples": args.samples}
         samples = _evaluation_samples(args.samples, args.split)
+        out = _out_dir(args)
         X, _ = model_inputs(kind, samples, schema)
         mean_attr = population_attributions(lstm_scorer(params), X, steps=args.steps)
         per_step_path = out / "attributions.csv"

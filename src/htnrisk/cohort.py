@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from datetime import date
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -356,17 +355,27 @@ def cohort_to_dict(cohort: Cohort) -> dict:
     }
 
 
+def encode_part(part: Cohort) -> list[bytes]:
+    """The UTF-8 canonical JSON pieces `write_samples` splices for a part of
+    a cohort, such as `select_patients` returns: its `sample_rows`, then
+    each patient's `encounter_to_dict` forms, in the part's patient order."""
+    return [
+        canonical_json(sample_rows(part.samples)).encode("utf-8"),
+        *(canonical_json([encounter_to_dict(e) for e in timeline]).encode("utf-8")
+          for timeline in part.timelines.values()),
+    ]
+
+
 def write_samples(
     path, horizon_days: int, total_patients: int, tally: dict[str, int],
-    patients: Iterable[tuple[PatientId, str, bytes]], sample_lists: Iterable[bytes],
+    splits: dict[PatientId, str], blocks: list[tuple[list[PatientId], list[bytes]]],
 ) -> None:
     """Write the samples file of a cohort from its parts, byte for byte as
     `canonical_json(cohort_to_dict(cohort)) + "\n"`, without joining it.
 
-    `patients` yields (patient, split, encounters) in sorted patient order,
-    `encounters` being the UTF-8 canonical JSON of the list of its
-    `encounter_to_dict` forms. `sample_lists` yields the UTF-8 canonical
-    JSON of lists of `sample_rows`, which run on from one to the next.
+    `blocks` holds, part by part in sorted patient order, the part's
+    patients and its `encode_part` pieces; `splits` maps each patient to
+    its split.
     """
     def text(value) -> bytes:
         return canonical_json(value).encode("utf-8")
@@ -376,41 +385,34 @@ def write_samples(
         handle.write(b'{"exclusion_tally":%s,"format":%s,"horizon_days":%d,"patients":{' % (
             text(tally), text(SAMPLES_FORMAT), horizon_days))
         separator = b""
-        for patient, split, encounters in patients:
-            handle.write(b'%s%s:{"encounters":%s,"split":%s}' % (
-                separator, text(patient), encounters, text(split)))
-            separator = b","
+        for patients, pieces in blocks:
+            for patient, encounters in zip(patients, pieces[1:]):
+                handle.write(b'%s%s:{"encounters":%s,"split":%s}' % (
+                    separator, text(patient), encounters, text(splits[patient])))
+                separator = b","
         handle.write(b'},"samples":[')
         separator = b""
-        for rows in sample_lists:
-            if rows != b"[]":
+        for _, pieces in blocks:
+            if pieces[0] != b"[]":
                 handle.write(separator)
-                handle.write(rows[1:-1])
+                handle.write(pieces[0][1:-1])
                 separator = b","
         handle.write(b'],"total_patients":%d}\n' % total_patients)
-
-
-def _row_patient(row, patients: dict) -> str:
-    """The patient of a sample row; a DataError unless it has an entry."""
-    patient = require(row, "patient", STRING, "sample")
-    if patient not in patients:
-        raise DataError(f"sample of unknown patient {patient!r}")
-    return patient
 
 
 def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohort:
     """Inverse of cohort_to_dict, decoding only the patients of `splits`.
 
     The returned cohort holds those patients' timelines, split assignments
-    and samples, in patient-entry order. One step per patient entry checks
-    the entry and its sample rows, which must follow the rows of the entry
-    before it, and decodes the patient if it is in `splits`. Each check of
-    README "cohort" is a DataError: of the top level, the tally and the
-    total; of every entry and row (types, split name, known patient, target
-    index in 1..len(timeline)-1, label 0 or 1); and, for a decoded patient,
-    of its encounters (`encounter_from_dict`, its own patient id, date
-    order) and of its rows, which must be those of the samples
-    `build_samples` makes of its timeline.
+    and samples, in patient-entry order. One pass over the sample rows
+    checks that each names a patient with an entry, in entry order; then
+    one step per patient entry checks the entry and its rows, and decodes
+    the patient if it is in `splits`. Each check of README "cohort" is a
+    DataError: of the top level, the tally and the total; of every entry
+    and row (types, split name, known patient, entry order, target index in
+    1..len(timeline)-1, label 0 or 1); and, for a decoded patient, of its
+    encounters (`encounter_from_dict`, its own patient id, date order) and
+    of its rows, which must be those `build_samples` makes of its timeline.
     """
     require_format(data, SAMPLES_FORMAT, "samples")
     horizon_days, total_patients, tally, patients, rows = require_keys(
@@ -432,6 +434,16 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
             f"samples file total_patients {total_patients} is less than its "
             f"{len(patients)} patients plus {excluded} excluded"
         )
+    position = {patient: k for k, patient in enumerate(patients)}
+    latest = 0  # the entry position of the row before
+    for row in rows:
+        patient = require(row, "patient", STRING, "sample")
+        k = position.get(patient)
+        if k is None:
+            raise DataError(f"sample of unknown patient {patient!r}")
+        if k < latest:
+            raise DataError(f"patient {patient}: sample rows are not in patient-entry order")
+        latest = k
     cohort = Cohort(timelines={}, samples=[], splits={}, exclusion_tally=dict(tally),
                     total_patients=total_patients, horizon_days=horizon_days)
     at = 0  # the first sample row of the patient entry at hand
@@ -440,7 +452,7 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
         if split not in SPLIT_NAMES:
             raise DataError(f"patient {patient}: unknown split {split!r}")
         own, decoded = [], split in splits
-        while at < len(rows) and _row_patient(rows[at], patients) == patient:
+        while at < len(rows) and rows[at]["patient"] == patient:
             idx, label, final = require_keys(rows[at], _ROW_KINDS, f"patient {patient}:")
             if not 1 <= idx < len(encounters):
                 raise DataError(
@@ -466,7 +478,4 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
                 f"patient {patient}: sample rows differ from the ones its timeline yields")
         cohort.timelines[patient], cohort.splits[patient] = timeline, split
         cohort.samples.extend(derived)
-    if at < len(rows):
-        raise DataError(f"patient {_row_patient(rows[at], patients)}: sample rows are not "
-                        f"in patient-entry order")
     return cohort

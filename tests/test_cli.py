@@ -11,6 +11,7 @@ import pytest
 
 import htnrisk.attribution as attribution
 import htnrisk.cli as cli
+import htnrisk.cohort as cohort
 import htnrisk.parallel as parallel
 import htnrisk.synth as synth
 from htnrisk.artifacts import canonical_json, read_json, sha256_file, write_json
@@ -698,7 +699,7 @@ def test_cohort_holds_one_parsed_table_at_a_time(pipeline, tmp_path, monkeypatch
     alive_at_parse = []  # the kinds still alive as each table was parsed
     merged = []
     alive_at_serialize = []
-    parse_table, merge, rows = cli.parse_table, cli.merge_patient_timeline, cli.sample_rows
+    parse_table, merge, rows = cli.parse_table, cli.merge_patient_timeline, cohort.sample_rows
 
     def alive(table, records):
         # The merge's loop variable may still hold the last record it read.
@@ -723,7 +724,7 @@ def test_cohort_holds_one_parsed_table_at_a_time(pipeline, tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "parse_table", tracked_parse)
     monkeypatch.setattr(cli, "merge_patient_timeline", tracked_merge)
-    monkeypatch.setattr(cli, "sample_rows", tracked_rows)
+    monkeypatch.setattr(cohort, "sample_rows", tracked_rows)
     out = tmp_path / "out"
     assert main(["cohort", "--data", str(pipeline["data"]), "--out", str(out)]) == 0
     assert [kind for kind, *_ in parsed] == list(TABLE_COLUMNS)
@@ -1304,9 +1305,26 @@ def test_empty_evaluation_split_is_a_data_error(pipeline, tmp_path, capsys):
 
 
 def test_lstm_attribution_without_samples_is_a_usage_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
     assert main(["attribute", "--model", str(pipeline["lstm"] / "model.json"),
-                 "--out", str(tmp_path / "out")]) == 1
+                 "--out", str(out)]) == 1
     assert "error: attribute: --samples is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lstm_attribution_of_a_damaged_samples_file_is_a_data_error(pipeline, tmp_path, capsys):
+    data = read_json(pipeline["cohort"] / "samples.json")
+    first = data["samples"].pop(0)
+    data["samples"].append(first)  # after the rows of every later entry
+    path = tmp_path / "samples.json"
+    write_json(path, data)
+    out = tmp_path / "out"
+    assert main(["attribute", "--model", str(pipeline["lstm"] / "model.json"),
+                 "--samples", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: attribute: patient {first['patient']}: sample rows are not in "
+        f"patient-entry order\n")
+    assert not out.exists()
 
 
 def test_nonpositive_top_is_a_usage_error(pipeline, tmp_path, capsys):

@@ -501,15 +501,22 @@ def test_visits_of_one_date_load(make_timeline):
 
 
 def test_sample_rows_out_of_patient_entry_order_are_a_data_error():
-    data = copy.deepcopy(_ONE_PER_SPLIT)
-    first = data["samples"].pop(0)
-    data["samples"].append(first)
-    split = data["patients"][first["patient"]]["split"]
-    with pytest.raises(DataError, match=f"^patient {first['patient']}: sample rows differ"):
-        cohort_from_dict(data, (split,))
-    with pytest.raises(DataError, match=f"^patient {first['patient']}: sample rows are not in "
-                                        "patient-entry order$"):
-        cohort_from_dict(data, _other_splits(split))
+    # pt01 is in train, pt04 in validation and pt08 in test. pt01's first
+    # row moved to the end, or its last row placed just before pt08's rows:
+    # every decode names pt01, even the test decode, which decodes only
+    # pt08, whose rows are intact.
+    assert [_ONE_PER_SPLIT["patients"][p]["split"] for p in ("pt01", "pt04", "pt08")] == list(
+        SPLIT_NAMES)
+    at_end, before_pt08 = copy.deepcopy(_ONE_PER_SPLIT), copy.deepcopy(_ONE_PER_SPLIT)
+    at_end["samples"].append(at_end["samples"].pop(0))
+    rows = before_pt08["samples"]
+    moved = rows.pop(max(i for i, row in enumerate(rows) if row["patient"] == "pt01"))
+    rows.insert(next(i for i, row in enumerate(rows) if row["patient"] == "pt08"), moved)
+    for data in (at_end, before_pt08):
+        for split in SPLIT_NAMES:
+            with pytest.raises(DataError, match="^patient pt01: sample rows are not in "
+                                                "patient-entry order$"):
+                cohort_from_dict(data, (split,))
 
 
 def test_exclusion_rules_tuple_is_the_cascade_order():
@@ -603,7 +610,8 @@ def test_a_damaged_sample_row_stops_only_the_decode_of_its_split_property(data):
     # One patient in each split. One row is duplicated or dropped, or its
     # label, its final flag or its target_index (to another index inside
     # the timeline) changes, or two of its patient's visits of different
-    # dates swap places.
+    # dates swap places. Or the row moves among the rows of a later
+    # patient, which stops the decode of every split.
     damaged = copy.deepcopy(_ONE_PER_SPLIT)
     rows = damaged["samples"]
     at = data.draw(st.integers(0, len(rows) - 1))
@@ -613,10 +621,22 @@ def test_a_damaged_sample_row_stops_only_the_decode_of_its_split_property(data):
     moves = [i for i in range(1, len(encounters)) if i != row["target_index"]]
     swaps = [(i, j) for j in range(len(encounters)) for i in range(j)
              if encounters[i]["date"] != encounters[j]["date"]]
+    entries = list(damaged["patients"])
+    # Places after a row of a later patient, counted once the row is taken out.
+    places = [i + 1 for i, other in enumerate(rows[:at] + rows[at + 1:])
+              if entries.index(other["patient"]) > entries.index(patient)]
     damage = data.draw(st.sampled_from(["duplicate", "drop", "label", "final"]
                                        + (["move"] if moves else [])
-                                       + (["swap"] if swaps else [])))
+                                       + (["swap"] if swaps else [])
+                                       + (["reorder"] if places else [])))
     message = "sample rows differ"
+    if damage == "reorder":
+        rows.insert(data.draw(st.sampled_from(places)), rows.pop(at))
+        for split in SPLIT_NAMES:
+            with pytest.raises(DataError, match=f"^patient {patient}: sample rows are not in "
+                                                "patient-entry order$"):
+                cohort_from_dict(damaged, (split,))
+        return
     if damage == "swap":
         i, j = data.draw(st.sampled_from(swaps))
         encounters[i], encounters[j] = encounters[j], encounters[i]
