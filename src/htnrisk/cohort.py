@@ -434,16 +434,15 @@ def cohort_from_dict(data: dict, splits: tuple[str, ...] = SPLIT_NAMES) -> Cohor
             f"samples file total_patients {total_patients} is less than its "
             f"{len(patients)} patients plus {excluded} excluded"
         )
-    position = {patient: k for k, patient in enumerate(patients)}
-    latest = 0  # the entry position of the row before
+    entries, entry = iter(patients), None  # the entry of the row before
     for row in rows:
         patient = require(row, "patient", STRING, "sample")
-        k = position.get(patient)
-        if k is None:
+        if patient not in patients:
             raise DataError(f"sample of unknown patient {patient!r}")
-        if k < latest:
+        # `in` advances `entries` past `patient`, so it fails for an entry before `entry`.
+        if patient != entry and patient not in entries:
             raise DataError(f"patient {patient}: sample rows are not in patient-entry order")
-        latest = k
+        entry = patient
     cohort = Cohort(timelines={}, samples=[], splits={}, exclusion_tally=dict(tally),
                     total_patients=total_patients, horizon_days=horizon_days)
     at = 0  # the first sample row of the patient entry at hand
