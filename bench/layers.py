@@ -1,7 +1,9 @@
-"""Layer microbenchmarks of the cohort stage, appended to BENCH_layers.json.
+"""Layer microbenchmarks of the cohort stage and of the LSTM, appended to
+BENCH_layers.json.
 
     PYTHONPATH=src python3 bench/layers.py [--seed 2026] [--repeats 5]
                                            [--out BENCH_layers.json] [--label NAME]
+                                           [--group all|cohort|nnet]
 
 Generates the 5,000-patient positive control (configs/acceptance_positive.kv)
 at `--seed` into a temporary directory, then times each layer `--repeats`
@@ -26,6 +28,21 @@ fastest and the slowest run in seconds:
 - `encode_and_write_samples`: the selection encoded by `encode_part` (its
   sample rows and each survivor's encounters, as canonical JSON), then
   written by `write_samples`.
+
+The `nnet` group featurizes the selection's splits and times a freshly
+initialized LSTM of the published size (H = 120), with BLAS at the
+process's own thread count unless a name says `one_thread`:
+
+- `lstm_loss_and_grads.256` and `lstm_loss_and_grads.256.one_thread`: one
+  256-row training minibatch (dropout 0.2) through `nnet.lstm_loss_and_grads`;
+- `sharded_step.256`: the same minibatch as `train` computes it, in
+  128-row shards, with its workers (`train._sharded_lstm`);
+- `lstm_logits.validation`: `nnet.lstm_logits` on the validation split,
+  as each epoch scores it;
+- `ig_sample.128`: integrated gradients of one test sample at 128 steps,
+  the mean over the split's first 32 final samples, as `attribute`
+  computes them: `nnet.lstm_integrated_gradients` where the program has
+  it, and `integrated_gradients` of `lstm_scorer` before.
 
 The run is recorded with the commit of the checkout the `htnrisk` package
 was imported from (and whether its `src/` has uncommitted changes), the
@@ -58,10 +75,11 @@ from htnrisk.artifacts import canonical_json
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def timed(repeats: int, run) -> dict:
+def timed(repeats: int, run, per: int = 1) -> dict:
     """Seconds of `repeats` calls of `run`, with the collector paused as
     `htnrisk.cli.main` pauses it; each call's result is dropped before the
-    next starts."""
+    next starts. A call that does `per` units of work counts 1/per of its
+    seconds."""
     seconds = []
     for _ in range(repeats):
         gc.collect()
@@ -69,7 +87,7 @@ def timed(repeats: int, run) -> dict:
         try:
             start = time.perf_counter()
             run()
-            seconds.append(time.perf_counter() - start)
+            seconds.append((time.perf_counter() - start) / per)
         finally:
             gc.enable()
     return {"median_s": statistics.median(seconds), "min_s": min(seconds),
@@ -99,7 +117,7 @@ def machine(package_dir: Path) -> dict:
     }
 
 
-def measure(data: Path, repeats: int) -> dict:
+def measure_cohort(data: Path, repeats: int) -> dict:
     paths = {kind: data / f"{kind}.csv" for kind in ehr_core.TABLE_COLUMNS}
     layers = {}
     for kind, path in paths.items():
@@ -158,12 +176,55 @@ def measure(data: Path, repeats: int) -> dict:
     return layers
 
 
+def measure_nnet(data: Path, repeats: int) -> dict:
+    from htnrisk import attribution, nnet, parallel, train
+    from htnrisk.featurize import featurize_sequences, fit_schema
+
+    tables = [ehr_core.parse_table(data / f"{kind}.csv", kind)[0] for kind in ehr_core.TABLE_COLUMNS]
+    selected = cohort.select_cohort(ehr_core.merge_patient_timeline(*tables)[0])
+    del tables
+    schema = fit_schema(selected.samples_in("train"))
+    X, y = featurize_sequences(selected.samples_in("train"), schema)
+    X_val, _ = featurize_sequences(selected.samples_in("validation"), schema)
+    X_test, _ = featurize_sequences(selected.evaluation_samples("test")[:32], schema)
+    del selected
+    config = train.default_config("lstm")
+    params = nnet.init_lstm_params(X.shape[2], config.hidden_size, np.random.default_rng(0))
+    w = train.sample_weights(y, train.class_weights(y))
+    batch = np.random.default_rng(0).permutation(len(y))[:256]
+    X_b, y_b, w_b = X[batch], y[batch], w[batch]
+
+    def minibatch():
+        rng = np.random.default_rng(1)
+        nnet.lstm_loss_and_grads(params, X_b, y_b, w_b, config.dropout_rate, rng)
+
+    layers = {"lstm_loss_and_grads.256": timed(repeats, minibatch)}
+    with parallel.one_blas_thread([range(1), range(1, 2)]):  # it caps two blocks or more
+        layers["lstm_loss_and_grads.256.one_thread"] = timed(repeats, minibatch)
+    layers["sharded_step.256"] = None
+    if hasattr(train, "_sharded_lstm"):
+        vec = params.to_vector()
+        with train._sharded_lstm(config, X, y, w) as step:
+            layers["sharded_step.256"] = timed(
+                repeats, lambda: step(params, vec, batch, np.random.default_rng(1)))
+    layers["lstm_logits.validation"] = timed(repeats, lambda: nnet.lstm_logits(params, X_val))
+    if hasattr(nnet, "lstm_integrated_gradients"):
+        sample_ig = lambda x: nnet.lstm_integrated_gradients(params, x, 128)
+    else:
+        scorer = attribution.lstm_scorer(params)
+        sample_ig = lambda x: attribution.integrated_gradients(scorer, x, np.zeros_like(x), 128)
+    layers["ig_sample.128"] = timed(repeats, lambda: [sample_ig(x) for x in X_test], len(X_test))
+    return {f"nnet.{name}": value for name, value in layers.items()} | {
+        "nnet.rows": {"train": len(y), "validation": len(X_val), "ig_samples": len(X_test)}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     parser.add_argument("--label", default="", help="a name for this run, such as 'parent'")
+    parser.add_argument("--group", choices=("all", "cohort", "nnet"), default="all")
     args = parser.parse_args(argv)
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
@@ -173,12 +234,16 @@ def main(argv=None) -> int:
         argv = ["generate", "--config", str(config), "--seed", str(args.seed), "--out", str(data)]
         if cli.main(argv) != 0:
             return 1
-        layers = measure(data, args.repeats)
+        layers = {}
+        if args.group in ("all", "cohort"):
+            layers |= measure_cohort(data, args.repeats)
+        if args.group in ("all", "nnet"):
+            layers |= measure_nnet(data, args.repeats)
     run = {
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workload": {"config": "configs/acceptance_positive.kv", "seed": args.seed,
-                     "repeats": args.repeats},
+                     "repeats": args.repeats, "group": args.group},
         "machine": machine(Path(cli.__file__).resolve().parent),
         "layers": layers,
     }
@@ -186,7 +251,8 @@ def main(argv=None) -> int:
     runs = json.loads(out.read_text(encoding="utf-8"))["runs"] if out.exists() else []
     out.write_text(json.dumps({"runs": [*runs, run]}, indent=2) + "\n", encoding="utf-8")
     for name, value in layers.items():
-        shown = "n/a" if value is None else f"{value['median_s'] * 1e3:9.1f} ms"
+        shown = "n/a" if value is None else value.get("median_s")
+        shown = value if shown is None else f"{shown * 1e3:9.1f} ms"
         print(f"{name:28s} {shown}")
     return 0
 

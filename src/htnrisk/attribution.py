@@ -4,7 +4,10 @@ Integrated gradients approximates the path integral of the model's
 gradient along the straight line from a baseline to the input, using the
 midpoint Riemann rule; its completeness gap (attributions summing to the
 output difference) is measurable directly and shrinks quadratically with
-the step count. The linear model is ranked by absolute weight instead.
+the step count. `integrated_gradients` takes any scorer and is the
+reference; `population_attributions` runs the LSTM's own kernel for the
+zero baseline, `nnet.lstm_integrated_gradients`. The linear model is
+ranked by absolute weight instead.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import format_number, write_csv
-from .nnet import LstmParams, lstm_input_gradients
+from .nnet import LstmParams, lstm_input_gradients, lstm_integrated_gradients
 from .parallel import block_ranges, one_blas_thread, run_blocks, usable_cores
 
 DEFAULT_STEPS = 128
 
 #: Fewest samples worth a process of their own: one sample at 128 steps
-#: takes ~10 ms, against tens of milliseconds to fork and return a block.
+#: takes ~8 ms at one BLAS thread (`nnet.lstm_integrated_gradients`),
+#: against tens of milliseconds to fork and return a block.
 MIN_BLOCK_SAMPLES = 32
 
 #: A scorer maps a stack of m inputs (m, *shape) to m scalar outputs and
@@ -92,13 +96,13 @@ def aggregate_sequence_attributions(attributions: np.ndarray) -> np.ndarray:
 
 
 def population_attributions(
-    score_fn: Scorer, X: np.ndarray, steps: int = DEFAULT_STEPS
+    params: LstmParams, X: np.ndarray, steps: int = DEFAULT_STEPS
 ) -> np.ndarray:
-    """Mean signed per-sample IG over an evaluation set.
+    """Mean signed per-sample IG of the LSTM over an evaluation set (n, T, F).
 
     Baseline is the all-zeros input: identical to the padding vector and
-    to the scaled train minimum. Returns the mean attribution tensor with
-    one entry per input element (T, F) for sequences.
+    to the scaled train minimum. Returns the mean attribution tensor (T, F),
+    one `nnet.lstm_integrated_gradients` per sample.
 
     The samples run in contiguous blocks, one per usable core, with BLAS
     at one thread per process (see `parallel.one_blas_thread`). Each
@@ -106,12 +110,11 @@ def population_attributions(
     sample order, so the mean does not depend on the number of blocks.
     """
     X = np.asarray(X, dtype=np.float64)
-    baseline = np.zeros(X.shape[1:])
 
     def attribute(samples: range) -> list[np.ndarray]:
         out = np.empty((len(samples),) + X.shape[1:])
         for i, row in enumerate(X[samples.start : samples.stop]):
-            out[i] = integrated_gradients(score_fn, row, baseline, steps)
+            out[i] = lstm_integrated_gradients(params, row, steps)
         return [out]
 
     blocks = block_ranges(X.shape[0], usable_cores(), MIN_BLOCK_SAMPLES)

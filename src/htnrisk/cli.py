@@ -394,7 +394,6 @@ def cmd_evaluate(args) -> int:
 def cmd_attribute(args) -> int:
     from .attribution import (
         aggregate_sequence_attributions,
-        lstm_scorer,
         population_attributions,
         rank_features,
         write_ranked_csv,
@@ -423,7 +422,7 @@ def cmd_attribute(args) -> int:
         samples = _evaluation_samples(args.samples, args.split)
         out = _out_dir(args)
         X, _ = model_inputs(kind, samples, schema)
-        mean_attr = population_attributions(lstm_scorer(params), X, steps=args.steps)
+        mean_attr = population_attributions(params, X, steps=args.steps)
         per_step_path = out / "attributions.csv"
         write_sequence_attribution_csv(mean_attr, schema.columns, per_step_path)
         totals = aggregate_sequence_attributions(mean_attr)

@@ -1,7 +1,9 @@
-"""Contiguous blocks of independent work, one per usable core.
+"""Contiguous blocks of independent work, one per usable core, and
+persistent workers.
 
 `generate` and `cohort` split their patients and `attribute` its
-integrated-gradients samples this way. The first block runs in the
+integrated-gradients samples into blocks; `train` computes LSTM gradient
+shards on persistent workers. The first block runs in the
 calling process and each other one in a child started with `fork`. A
 block's result is a list of raw buffers, which a child sends back
 through a pipe one message each: a pickle of a large result costs a
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import ctypes
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 #: The (get, set) thread-count functions an OpenBLAS build may export:
@@ -50,10 +54,13 @@ def block_ranges(n: int, cores: int, min_size: int) -> list[range]:
     return [range(n * j // count, n * (j + 1) // count) for j in range(count)]
 
 
+@cache
 def blas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) for the thread count of the OpenBLAS this process has
     loaded, or None where it cannot be found: no /proc/self/maps, no
-    OpenBLAS mapped, or none of the known symbols."""
+    OpenBLAS mapped, or none of the known symbols. Looked up once: the
+    ctypes objects of a lookup hold reference cycles, which every LSTM
+    `train` would otherwise leave to the paused collector."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
@@ -74,51 +81,71 @@ def blas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | N
 
 
 @contextmanager
+def blas_at_one_thread():
+    """Hold BLAS at one thread while the body runs, and restore the
+    previous count after it, also on an exception. Yields whether the
+    count could be set (see `blas_thread_control`)."""
+    control = blas_thread_control()
+    if control is None:
+        yield False
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(previous)
+
+
+@contextmanager
 def one_blas_thread(blocks: list[range]):
     """Yield `blocks` with BLAS at one thread per process while they run,
     and the previous count restored after. Processes that each start a
     BLAS thread per core oversubscribe the cores and run slower than one
     process, so where the count cannot be set this yields one block of
     everything and leaves BLAS as it is."""
-    control = blas_thread_control() if len(blocks) > 1 else None
-    if control is None:
-        yield [range(blocks[0].start, blocks[-1].stop)]
-        return
-    get, set_ = control
-    previous = get()
-    set_(1)
+    if len(blocks) > 1:
+        with blas_at_one_thread() as capped:
+            if capped:
+                yield blocks
+                return
+    yield [range(blocks[0].start, blocks[-1].stop)]
+
+
+def _send_result(connection, compute, argument) -> bool:
+    """Send the exception `compute(argument)` raised, or the number of
+    buffers it returned and then each one; returns whether it returned."""
     try:
-        yield blocks
-    finally:
-        set_(previous)
+        buffers = compute(argument)
+    except Exception as exc:
+        connection.send(exc)
+        return False
+    connection.send(len(buffers))
+    for buffer in buffers:
+        connection.send_bytes(buffer)
+    return True
+
+
+def _receive(child, connection, name: str) -> list[bytes]:
+    """The buffers `_send_result` sent, or the exception it sent raised
+    here with its own type; a child gone first is a ChildProcessError."""
+    try:
+        status = connection.recv()
+        if not isinstance(status, BaseException):
+            return [connection.recv_bytes() for _ in range(status)]
+    except (EOFError, OSError):
+        child.join()
+        raise ChildProcessError(
+            f"the process {name} exited with code {child.exitcode} before sending them"
+        ) from None
+    raise status
 
 
 def _send_block(sender, compute, block: range) -> None:
-    """Body of a forked child: send the exception `compute` raised, or
-    the number of buffers it returned and then each one."""
-    try:
-        buffers = compute(block)
-    except Exception as exc:
-        sender.send(exc)
-    else:
-        sender.send(len(buffers))
-        for buffer in buffers:
-            sender.send_bytes(buffer)
+    """Body of a forked child of `run_blocks`."""
+    _send_result(sender, compute, block)
     sender.close()
-
-
-def _receive_block(child, receiver, block: range, label: str) -> list[bytes]:
-    try:
-        status = receiver.recv()
-        if not isinstance(status, BaseException):
-            return [receiver.recv_bytes() for _ in range(status)]
-    except EOFError:
-        child.join()
-        raise ChildProcessError(
-            f"the process {label} {block.start}-{block.stop - 1} "
-            f"exited with code {child.exitcode} before sending them"
-        ) from None
-    raise status
 
 
 def run_blocks(blocks: list[range], compute, label: str) -> list[list]:
@@ -148,7 +175,8 @@ def run_blocks(blocks: list[range], compute, label: str) -> list[list]:
             sender.close()
         results = [compute(blocks[0])]
         for (child, receiver), block in zip(children, blocks[1:]):
-            results.append(_receive_block(child, receiver, block, label))
+            name = f"{label} {block.start}-{block.stop - 1}"
+            results.append(_receive(child, receiver, name))
         return results
     except BaseException:
         # The other blocks are no longer wanted: stop children still
@@ -162,3 +190,85 @@ def run_blocks(blocks: list[range], compute, label: str) -> list[list]:
             receiver.close()
             if child.pid is not None:
                 child.join()
+
+
+def _serve(connection, compute) -> None:
+    """Body of a child of `workers`: answer each request with
+    `_send_result` until the parent sends None or is gone, or `compute`
+    raises."""
+    try:
+        while (count := connection.recv()) is not None:
+            request = [connection.recv_bytes() for _ in range(count)]
+            if not _send_result(connection, compute, request):
+                break
+    except EOFError:
+        pass
+    connection.close()
+
+
+@dataclass
+class Worker:
+    """A persistent child of `workers`: `send` it a request, a list of
+    buffers, then `receive` the buffers `compute` returned for it."""
+
+    process: object
+    connection: object
+    name: str
+
+    def send(self, buffers: list) -> None:
+        try:
+            self.connection.send(len(buffers))
+            for buffer in buffers:
+                self.connection.send_bytes(buffer)
+        except OSError:
+            self.process.join()
+            raise ChildProcessError(
+                f"the process {self.name} exited with code {self.process.exitcode}"
+            ) from None
+
+    def receive(self) -> list[bytes]:
+        return _receive(self.process, self.connection, self.name)
+
+
+@contextmanager
+def workers(count: int, compute, label: str):
+    """Yield `count` persistent children, forked here, as `Worker`s; each
+    answers every request with `compute(request)`, a list of buffers in
+    and out as in `run_blocks`. A child forked once shares the parent's
+    data through copy-on-write, and serves many requests. The rules are
+    those of `run_blocks`: a child's exception is raised in the parent
+    with its own type, a child that dies is a ChildProcessError naming
+    `label`, and on any exception the children are stopped. All are
+    joined before this returns. Where processes cannot be forked, this
+    yields no children."""
+    if count < 1:
+        yield []
+        return
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield []
+        return
+    context = multiprocessing.get_context("fork")
+    started = []
+    try:
+        for j in range(1, count + 1):
+            connection, child_end = context.Pipe()
+            process = context.Process(target=_serve, args=(child_end, compute), daemon=True)
+            started.append(Worker(process, connection, f"{label} in worker {j}"))
+            process.start()
+            child_end.close()
+        yield started
+        for worker in started:
+            with suppress(OSError):  # a child gone after its last answer lost nothing
+                worker.connection.send(None)
+    except BaseException:
+        for worker in started:
+            if worker.process.pid is not None:
+                worker.process.terminate()
+        raise
+    finally:
+        for worker in started:
+            worker.connection.close()
+            if worker.process.pid is not None:
+                worker.process.join()

@@ -10,11 +10,16 @@ class-weighted BCE that `nnet` computes from the logits, plus an L1 term
 on the input kernel. That kernel leads the flat vector (`w` of the LR
 model, `W.ravel()` of the LSTM), so the term and its subgradient are one
 slice of the vector, added once per minibatch and to the validation loss.
+
+An LSTM minibatch is computed as fixed shards of SHARD_ROWS rows at one
+BLAS thread, some of them on persistent workers, one per extra usable
+core (`_sharded_lstm`).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +35,7 @@ from .nnet import (
     LrParams,
     LstmParams,
     NumericalError,
+    dropout_mask,
     init_lr_params,
     init_lstm_params,
     lr_logits,
@@ -39,6 +45,7 @@ from .nnet import (
     split_gates,
     weighted_bce,
 )
+from .parallel import blas_at_one_thread, usable_cores, workers
 
 EARLY_STOP_DELTA = 1e-7
 LR_MAX_EPOCHS = 500
@@ -221,6 +228,78 @@ class TrainingDiverged(NumericalError):
         self.log = log
 
 
+#: Rows per gradient shard of an LSTM minibatch.
+SHARD_ROWS = 128
+
+
+@contextmanager
+def _sharded_lstm(config: TrainConfig, X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Yield loss_and_grads(params, vec, batch, rng) -> (loss, gradient
+    vector) of one LSTM minibatch, `batch` being its rows of X.
+
+    The minibatch runs as shards of SHARD_ROWS rows in row order, and its
+    dropout mask is drawn from `rng` as one draw, in shard order. Each
+    shard's loss and gradients are its terms of the minibatch mean, over
+    the minibatch's n (`lstm_loss_and_grads`' batch_rows), and they are
+    added here in shard order. The body runs at one BLAS thread, and
+    shard j of a minibatch runs in process j mod P: the calling process
+    and one persistent worker (`parallel.workers`) per extra usable core.
+    So the bytes of a model depend neither on the process count nor on
+    the BLAS thread count. Where that count cannot be set, every shard
+    runs here, serially, with BLAS as it is.
+    """
+    H = config.hidden_size
+    meta = (X.shape[2], H)
+
+    def shard(params, rows, mask, n):
+        loss, grads = lstm_loss_and_grads(
+            params, X[rows], y[rows], w[rows], mask=mask, batch_rows=n
+        )
+        return loss, grads.to_vector()
+
+    def serve(request):
+        vec, n, *pieces = request
+        params = LstmParams.from_vector(np.frombuffer(vec), *meta)
+        n = int(np.frombuffer(n, dtype=np.int64)[0])
+        out = []
+        for rows, mask in zip(pieces[::2], pieces[1::2]):
+            rows = np.frombuffer(rows, dtype=np.int64)
+            loss, grad = shard(params, rows, np.frombuffer(mask).reshape(len(rows), H), n)
+            out += [np.array([loss]), grad]
+        return out
+
+    with blas_at_one_thread() as capped:
+        count = usable_cores() - 1 if capped else 0
+        with workers(count, serve, "computing gradient shards") as pool:
+            processes = 1 + len(pool)
+
+            def loss_and_grads(params, vec, batch, rng):
+                n = len(batch)
+                mask = dropout_mask(n, H, config.dropout_rate, rng)
+                shards = [slice(start, start + SHARD_ROWS) for start in range(0, n, SHARD_ROWS)]
+                owners = list(zip(pool, range(1, len(shards))))
+                for worker, first in owners:
+                    request = [vec, np.array([n])]
+                    for rows in shards[first::processes]:
+                        request += [batch[rows], mask[rows]]
+                    worker.send(request)
+                parts = [None] * len(shards)
+                for j in range(0, len(shards), processes):
+                    parts[j] = shard(params, batch[shards[j]], mask[shards[j]], n)
+                for worker, first in owners:
+                    reply = worker.receive()
+                    for j, loss, grad in zip(range(first, len(shards), processes),
+                                             reply[::2], reply[1::2]):
+                        parts[j] = float(np.frombuffer(loss)[0]), np.frombuffer(grad)
+                loss, grad_vec = parts[0]  # the calling process's own new array
+                for part_loss, part_grad in parts[1:]:
+                    loss += part_loss
+                    grad_vec += part_grad
+                return loss, grad_vec
+
+            yield loss_and_grads
+
+
 def train_model(
     config: TrainConfig,
     train_data: tuple[np.ndarray, np.ndarray],
@@ -233,6 +312,7 @@ def train_model(
     and also weight the monitored validation loss. The L1 term at
     `l1_lambda` covers the input kernel only: biases, the LSTM's recurrent
     kernel and its dense head are exempt. Its subgradient takes sign(0) = 0.
+    The LSTM's epochs, validation included, run inside `_sharded_lstm`.
     """
     X_train, y_train = train_data
     X_val, y_val = val_data
@@ -247,16 +327,19 @@ def train_model(
         meta = (X_train.shape[1],)
         n_kernel = X_train.shape[1]
         from_vector = LrParams.from_vector
-        loss_and_grads = lambda prm, X, y, w, rng: lr_loss_and_grads(prm, X, y, w)
+
+        def lr_batch(prm, vec, batch, rng):
+            loss, grads = lr_loss_and_grads(prm, X_train[batch], y_train[batch], w_train[batch])
+            return loss, grads.to_vector()
+
+        batches = nullcontext(lr_batch)
     else:
         init_rng = np.random.default_rng(derive_seed(config.seed, "init"))
         params = init_lstm_params(X_train.shape[2], config.hidden_size, init_rng)
         meta = (X_train.shape[2], config.hidden_size)
         n_kernel = X_train.shape[2] * 4 * config.hidden_size
         from_vector = LstmParams.from_vector
-        loss_and_grads = lambda prm, X, y, w, rng: lstm_loss_and_grads(
-            prm, X, y, w, config.dropout_rate, rng
-        )
+        batches = _sharded_lstm(config, X_train, y_train, w_train)
     lam = config.l1_lambda
     l1_penalty = lambda vec: lam * float(np.abs(vec[:n_kernel]).sum())
 
@@ -271,42 +354,40 @@ def train_model(
     log = TrainLog()
     n = len(y_train)
     epoch = 0
-    for optimizer_name, lr, phase_epochs in phases:
-        vec = params.to_vector()
-        step = _make_optimizer(optimizer_name, vec.size)
-        prev_val = None
-        for _ in range(phase_epochs):
-            epoch += 1
-            started = time.perf_counter()
-            order = np.random.default_rng(
-                derive_seed(config.seed, f"shuffle:{epoch}")
-            ).permutation(n)
-            dropout_rng = np.random.default_rng(derive_seed(config.seed, f"dropout:{epoch}"))
-            total = 0.0
-            for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                loss, grads = loss_and_grads(
-                    params, X_train[batch], y_train[batch], w_train[batch], dropout_rng
+    with batches as loss_and_grads:
+        for optimizer_name, lr, phase_epochs in phases:
+            vec = params.to_vector()
+            step = _make_optimizer(optimizer_name, vec.size)
+            prev_val = None
+            for _ in range(phase_epochs):
+                epoch += 1
+                started = time.perf_counter()
+                order = np.random.default_rng(
+                    derive_seed(config.seed, f"shuffle:{epoch}")
+                ).permutation(n)
+                dropout_rng = np.random.default_rng(derive_seed(config.seed, f"dropout:{epoch}"))
+                total = 0.0
+                for start in range(0, n, config.batch_size):
+                    batch = order[start : start + config.batch_size]
+                    loss, grad_vec = loss_and_grads(params, vec, batch, dropout_rng)
+                    loss += l1_penalty(vec)
+                    grad_vec[:n_kernel] += lam * np.sign(vec[:n_kernel])
+                    vec = step(vec, grad_vec, lr)
+                    params = from_vector(vec, *meta)
+                    total += loss * len(batch)
+                train_loss = total / n
+                val_logits = _logits(config.model_kind, params, X_val)
+                val_loss = float(np.mean(weighted_bce(val_logits, y_val, w_val))) + l1_penalty(vec)
+                log.epochs.append(
+                    EpochStat(epoch, train_loss, val_loss, time.perf_counter() - started)
                 )
-                loss += l1_penalty(vec)
-                grad_vec = grads.to_vector()
-                grad_vec[:n_kernel] += lam * np.sign(vec[:n_kernel])
-                vec = step(vec, grad_vec, lr)
-                params = from_vector(vec, *meta)
-                total += loss * len(batch)
-            train_loss = total / n
-            val_logits = _logits(config.model_kind, params, X_val)
-            val_loss = float(np.mean(weighted_bce(val_logits, y_val, w_val))) + l1_penalty(vec)
-            log.epochs.append(
-                EpochStat(epoch, train_loss, val_loss, time.perf_counter() - started)
-            )
-            if not np.isfinite(val_loss):
-                log.stop_reason = "diverged"
-                raise TrainingDiverged(f"validation loss diverged at epoch {epoch}", log)
-            if prev_val is not None and prev_val - val_loss <= config.early_stop_delta:
-                log.stop_reason = "early_stop"
-                return params, log
-            prev_val = val_loss
+                if not np.isfinite(val_loss):
+                    log.stop_reason = "diverged"
+                    raise TrainingDiverged(f"validation loss diverged at epoch {epoch}", log)
+                if prev_val is not None and prev_val - val_loss <= config.early_stop_delta:
+                    log.stop_reason = "early_stop"
+                    return params, log
+                prev_val = val_loss
     log.stop_reason = "max_epochs"
     return params, log
 

@@ -19,7 +19,7 @@ from htnrisk.attribution import (
     write_ranked_csv,
     write_sequence_attribution_csv,
 )
-from htnrisk.nnet import init_lstm_params
+from htnrisk.nnet import init_lstm_params, lstm_integrated_gradients
 from htnrisk.train import predict_proba
 
 
@@ -180,7 +180,7 @@ def test_population_attributions_is_mean_of_per_sample_ig(rng):
         [integrated_gradients(scorer, X[i], baseline, steps=32) for i in range(3)], axis=0
     )
     np.testing.assert_allclose(
-        population_attributions(scorer, X, steps=32), expected, atol=1e-12
+        population_attributions(params, X, steps=32), expected, atol=1e-12
     )
 
 
@@ -189,13 +189,32 @@ def test_population_attributions_in_blocks_equals_the_serial_loop(monkeypatch, r
     monkeypatch.setattr(attribution, "usable_cores", lambda: cores)
     monkeypatch.setattr(attribution, "MIN_BLOCK_SAMPLES", 2)
     params = init_lstm_params(3, 4, np.random.default_rng(4))
-    scorer = lstm_scorer(params)
     X = rng.normal(size=(7, 6, 3))
+    X[2, :3] = 0.0
+    X[5] = 0.0
     total = np.zeros((6, 3))
     for x in X:
-        total += integrated_gradients(scorer, x, np.zeros((6, 3)), steps=32)
-    assert np.array_equal(population_attributions(scorer, X, steps=32), total / 7)
+        total += lstm_integrated_gradients(params, x, 32)
+    assert np.array_equal(population_attributions(params, X, steps=32), total / 7)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("steps", [1, 3, 128])
+@pytest.mark.parametrize("lead", [0, 1, 3, 5, 6], ids=lambda lead: f"lead{lead}")
+def test_the_ig_kernel_equals_ig_of_the_lstm_scorer(steps, lead):
+    # Leading zero steps (all six: an all-zero sample), and one interior
+    # zero step that the kernel must not skip.
+    params = init_lstm_params(5, 7, np.random.default_rng(steps))
+    x = np.random.default_rng(lead).normal(size=(6, 5))
+    x[:lead] = 0.0
+    x[min(lead + 1, 5)] = 0.0
+    expected = integrated_gradients(lstm_scorer(params), x, np.zeros_like(x), steps)
+    got = lstm_integrated_gradients(params, x, steps)
+    scale = np.abs(expected).max()
+    assert np.abs(got - expected).max() <= 1e-12 * scale
+    assert not got[:lead].any()
+    if lead == 6:
+        assert not got.any()
 
 
 def test_aggregate_sums_over_time():

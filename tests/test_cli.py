@@ -485,14 +485,14 @@ def test_a_numerical_error_in_any_sample_block_exits_3(
 ):
     _attribute_in_blocks(monkeypatch, cores=3)
     parent = os.getpid()
-    input_gradients = attribution.lstm_input_gradients
+    sample_ig = attribution.lstm_integrated_gradients
 
-    def fail_in_one_process(params, points):
+    def fail_in_one_process(params, x, steps):
         if (os.getpid() != parent) == in_child:
             raise NumericalError("non-finite values in lstm activations at step 0")
-        return input_gradients(params, points)
+        return sample_ig(params, x, steps)
 
-    monkeypatch.setattr(attribution, "lstm_input_gradients", fail_in_one_process)
+    monkeypatch.setattr(attribution, "lstm_integrated_gradients", fail_in_one_process)
     assert _attribute_lstm(pipeline, tmp_path / "attr") == 3
     assert capsys.readouterr().err == (
         "error: attribute: non-finite values in lstm activations at step 0\n"
@@ -506,14 +506,14 @@ def test_a_sample_block_process_that_dies_is_a_data_error(
 ):
     _attribute_in_blocks(monkeypatch, cores=2)
     parent = os.getpid()
-    input_gradients = attribution.lstm_input_gradients
+    sample_ig = attribution.lstm_integrated_gradients
 
-    def die_in_the_child(params, points):
+    def die_in_the_child(params, x, steps):
         if os.getpid() != parent:
             os._exit(7)
-        return input_gradients(params, points)
+        return sample_ig(params, x, steps)
 
-    monkeypatch.setattr(attribution, "lstm_input_gradients", die_in_the_child)
+    monkeypatch.setattr(attribution, "lstm_integrated_gradients", die_in_the_child)
     n = len(cli._evaluation_samples(pipeline["cohort"] / "samples.json", "test"))
     assert _attribute_lstm(pipeline, tmp_path / "attr") == 2
     assert capsys.readouterr().err == (
@@ -522,6 +522,86 @@ def test_a_sample_block_process_that_dies_is_a_data_error(
     )
     assert blas_threads() == 2
     assert multiprocessing.active_children() == []
+
+
+# -- LSTM gradient shards on workers --------------------------------------------
+
+
+def _train_lstm_on_workers(pipeline, out, monkeypatch, shard_fn):
+    """Train the pipeline's LSTM with one worker beside this process, each
+    shard going through `shard_fn(original, *args, **kwargs)`."""
+    import htnrisk.train as train
+
+    monkeypatch.setattr(train, "usable_cores", lambda: 2)
+    original = train.lstm_loss_and_grads
+    monkeypatch.setattr(
+        train, "lstm_loss_and_grads", lambda *a, **kw: shard_fn(original, *a, **kw)
+    )
+    return main(["train", "--model", "lstm",
+                 "--samples", str(pipeline["cohort"] / "samples.json"),
+                 "--schema", str(pipeline["features"] / "schema.json"),
+                 "--config", str(pipeline["root"] / "lstm.kv"), "--seed", "0",
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("in_child", [False, True], ids=["parent-shard", "worker-shard"])
+def test_a_numerical_error_in_any_gradient_shard_exits_3(
+    pipeline, tmp_path, monkeypatch, capsys, blas_threads, in_child
+):
+    parent = os.getpid()
+
+    def fail_in_one_process(original, *args, **kwargs):
+        if (os.getpid() != parent) == in_child:
+            raise NumericalError("non-finite values in lstm activations at step 3")
+        return original(*args, **kwargs)
+
+    assert _train_lstm_on_workers(pipeline, tmp_path / "out", monkeypatch, fail_in_one_process) == 3
+    assert capsys.readouterr().err == (
+        "error: train: non-finite values in lstm activations at step 3\n"
+    )
+    assert blas_threads() == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_a_gradient_worker_that_dies_is_a_data_error(
+    pipeline, tmp_path, monkeypatch, capsys, blas_threads
+):
+    parent = os.getpid()
+
+    def die_in_the_worker(original, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return original(*args, **kwargs)
+
+    assert _train_lstm_on_workers(pipeline, tmp_path / "out", monkeypatch, die_in_the_worker) == 2
+    assert capsys.readouterr().err == (
+        "error: train: the process computing gradient shards in worker 1 "
+        "exited with code 7 before sending them\n"
+    )
+    assert blas_threads() == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_lstm_training_on_a_worker_writes_the_serial_bytes(pipeline, tmp_path, monkeypatch):
+    import htnrisk.train as train
+
+    parent = os.getpid()
+    in_worker = []
+
+    def note_the_process(original, *args, **kwargs):
+        in_worker.append(os.getpid() != parent)
+        return original(*args, **kwargs)
+
+    assert _train_lstm_on_workers(pipeline, tmp_path / "two", monkeypatch, note_the_process) == 0
+    # This process sees only its own shards: a wrapper here never runs in the worker.
+    assert in_worker and not any(in_worker)
+    seen_beside_a_worker = len(in_worker)
+    monkeypatch.setattr(train, "usable_cores", lambda: 1)
+    assert _train_lstm_on_workers(pipeline, tmp_path / "one", monkeypatch, note_the_process) == 0
+    # 456 train rows: per epoch, shards of 128 and 128, then 128 and 72 rows.
+    assert len(in_worker) - seen_beside_a_worker == 2 * seen_beside_a_worker
+    model = (tmp_path / "one" / "model.json").read_bytes()
+    assert (tmp_path / "two" / "model.json").read_bytes() == model
 
 
 # -- exit codes and error reporting -------------------------------------------

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htnrisk.nnet as nnet
 from htnrisk.nnet import (
@@ -253,7 +255,7 @@ def test_lstm_forward_matches_scalar_oracle(rng):
     for idx in range(5):
         p_ref, h_ref = _scalar_forward(params, X[idx])
         assert p[idx] == pytest.approx(p_ref, abs=1e-12)
-        np.testing.assert_allclose(tape.h[-1][idx], h_ref, atol=1e-12)
+        np.testing.assert_allclose(tape.h_last[idx], h_ref, atol=1e-12)
 
 
 def test_lstm_forward_batch_equals_per_sample(rng):
@@ -284,13 +286,20 @@ def _inference_lstm(seed, F=62, H=120):
     return init_lstm_params(F, H, np.random.default_rng(seed))
 
 
+def _left_padded(X, rng):
+    """X with each row's first 0-T steps zeroed, as padded samples are."""
+    leads = rng.integers(0, X.shape[1] + 1, size=X.shape[0])
+    return np.where(np.arange(X.shape[1])[None, :, None] < leads[:, None, None], 0.0, X)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 66, 67, 70, 255, 256, 257, 319, 320, 610, 2936])
 def test_lstm_logits_equal_the_taped_forward(n):
     params = _inference_lstm(n)
     X = np.random.default_rng(n + 1).normal(0.0, 0.5, size=(n, 6, 62))
-    logits = lstm_logits(params, X)
-    assert np.array_equal(logits, lstm_forward(params, X)[1].logits)
-    assert np.array_equal(sigmoid(logits), lstm_forward(params, X)[0])
+    for X in (X, _left_padded(X, np.random.default_rng(n + 2))):
+        logits = lstm_logits(params, X)
+        assert np.array_equal(logits, lstm_forward(params, X)[1].logits)
+        assert np.array_equal(sigmoid(logits), lstm_forward(params, X)[0])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -305,7 +314,8 @@ def test_lstm_logits_equal_the_taped_forward_in_small_chunks(
     params = _inference_lstm(chunk_rows)
     for n in (1, 2, 3, 4, 5, 7, 66, 67, 70):
         X = np.random.default_rng(n).normal(0.0, 0.5, size=(n, 6, 62))
-        assert np.array_equal(lstm_logits(params, X), lstm_forward(params, X)[1].logits), n
+        for X in (X, _left_padded(X, np.random.default_rng(n + 1))):
+            assert np.array_equal(lstm_logits(params, X), lstm_forward(params, X)[1].logits), n
 
 
 def test_lstm_chunks_never_leave_one_row_alone(monkeypatch):
@@ -487,7 +497,7 @@ def test_dropout_mask_statistics_and_scaling(rng):
     for k in range(200):
         mask_rng = np.random.default_rng(10_000 + k)
         _, tape = lstm_forward(params, X, dropout_rate=rate, rng=mask_rng)
-        np.testing.assert_array_equal(tape.h_drop, tape.h[-1] * tape.mask)
+        np.testing.assert_array_equal(tape.h_drop, tape.h_last * tape.mask)
         nonzero = tape.mask[tape.mask != 0.0]
         np.testing.assert_allclose(nonzero, 1.0 / (1.0 - rate), atol=1e-15)
         zeros += int((tape.mask == 0.0).sum())
@@ -536,3 +546,58 @@ def test_dropout_gradients_still_match_finite_differences(rng):
         lo, _ = loss_at(vec - step)
         numeric = (hi - lo) / (2 * eps)
         assert abs(numeric - gvec[j]) < 1e-7 + 1e-4 * abs(gvec[j])
+
+
+# -- padding-free kernels against the dense recurrence ------------------------------
+
+def _dense_logits(params, X, mask):
+    """The recurrence over every (row, step) cell, padding included, as the
+    kernels ran before they skipped leading zero steps."""
+    h = c = np.zeros((X.shape[0], params.hidden))
+    for t in range(X.shape[1]):
+        i, f, o, g = split_gates(X[:, t] @ params.W + h @ params.U + params.b)
+        i, f, o = (1.0 / (1.0 + np.exp(-a)) for a in (i, f, o))
+        c = f * c + i * np.tanh(g)
+        h = o * np.tanh(c)
+    return (h * mask) @ params.dense_w + params.dense_b
+
+
+def _relative_error(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    scale = np.abs(expected).max()
+    return np.abs(got - expected).max() / scale if scale else np.abs(got).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 3, 129]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_padding_free_kernels_equal_the_dense_recurrence_property(n, seed, data):
+    T, F, H = 6, 3, 4
+    # Leading zero steps per row (T: an all-zero row), then zeroed steps
+    # anywhere after step 0: interior ones must not be skipped.
+    leads = data.draw(st.lists(st.integers(0, T), min_size=n, max_size=n))
+    zeroed = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, T - 1)),
+                                max_size=4))
+    rng = np.random.default_rng(seed)
+    params = _random_lstm(rng, F, H)
+    X, y, w = _random_batch(rng, n=n, T=T, F=F)
+    for row, lead in zip(X, leads):
+        row[:lead] = 0.0
+    for row, step in zeroed:
+        X[row, step] = 0.0
+
+    loss, grads = lstm_loss_and_grads(params, X, y, w, 0.5, np.random.default_rng(seed))
+    mask = nnet.dropout_mask(n, H, 0.5, np.random.default_rng(seed))
+    logits = _dense_logits(params, X, mask)
+    expected_loss = float(np.mean(weighted_bce(logits, y, w)))
+    assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
+    p = 1.0 / (1.0 + np.exp(-logits))
+    expected, _ = _per_gate_bptt(params, X, w * (p - y) / n, mask)
+    for kind in ("W", "U", "b"):
+        for gate, block in zip(GATES, split_gates(getattr(grads, kind))):
+            assert _relative_error(block, expected[f"{kind}_{gate}"]) <= 1e-12, (kind, gate)
+    assert _relative_error(grads.dense_w, expected["dense_w"]) <= 1e-12
+    assert _relative_error(grads.dense_b, expected["dense_b"]) <= 1e-12
+
+    inference = lstm_logits(params, X)
+    assert _relative_error(inference, _dense_logits(params, X, np.ones((n, H)))) <= 1e-12
+    assert np.array_equal(inference, lstm_forward(params, X)[1].logits)

@@ -546,3 +546,99 @@ def test_load_model_rejects_unknown_format(tmp_path):
     write_json(path, {"format": "not-a-model/1"})
     with pytest.raises(DataError, match="format"):
         load_model(path)
+
+
+# -- LSTM minibatches in fixed shards ----------------------------------------------
+
+
+def _sharded_lstm_data(n, seed, F):
+    """Sequences with 0-5 leading zero steps, as padded samples have."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 6, F))
+    for row, lead in zip(X, rng.integers(0, 6, size=n)):
+        row[:lead] = 0.0
+    y = (X[:, -1, 0] + rng.normal(size=n) > 0).astype(np.float64)
+    return X, y
+
+
+def _lstm_model_bytes(tmp_path, schema, name) -> bytes:
+    # 600 rows in batches of 512: one batch of four shards, then a partial
+    # batch of one. Large enough that OpenBLAS runs two threads when asked.
+    X, y = _sharded_lstm_data(600, 0, schema.width)
+    X_val, y_val = _sharded_lstm_data(120, 1, schema.width)
+    config = replace(default_config("lstm"), hidden_size=24, batch_size=512, max_epochs=2)
+    params, _ = train_model(config, (X, y), (X_val, y_val))
+    path = tmp_path / f"{name}.json"
+    save_model(path, "lstm", params, schema, {})
+    return path.read_bytes()
+
+
+def test_lstm_model_bytes_do_not_depend_on_the_blas_thread_count(
+    tmp_path, monkeypatch, make_timeline, blas_threads
+):
+    from htnrisk.parallel import blas_thread_control
+
+    monkeypatch.setattr(train, "usable_cores", lambda: 1)
+    schema = _tiny_schema(make_timeline)
+    models = []
+    for threads in (1, 2):
+        blas_thread_control()[1](threads)
+        models.append(_lstm_model_bytes(tmp_path, schema, f"threads_{threads}"))
+        assert blas_threads() == threads
+    assert models[0] == models[1]
+
+
+def test_lstm_model_bytes_do_not_depend_on_the_worker_count(
+    tmp_path, monkeypatch, make_timeline, blas_threads
+):
+    import multiprocessing
+
+    schema = _tiny_schema(make_timeline)
+    models = []
+    for cores in (1, 2, 3, 4):  # the calling process and 0-3 workers
+        monkeypatch.setattr(train, "usable_cores", lambda: cores)
+        models.append(_lstm_model_bytes(tmp_path, schema, f"cores_{cores}"))
+        assert multiprocessing.active_children() == []
+        assert blas_threads() == 2
+    assert models[1:] == models[:1] * 3
+
+
+def test_lstm_shards_run_serially_without_blas_thread_control(
+    tmp_path, monkeypatch, make_timeline, blas_threads
+):
+    import htnrisk.parallel as parallel
+
+    schema = _tiny_schema(make_timeline)
+    monkeypatch.setattr(train, "usable_cores", lambda: 1)
+    serial = _lstm_model_bytes(tmp_path, schema, "serial")
+    parallel.blas_thread_control()[1](1)  # as the cap would set it: the same bytes
+    monkeypatch.setattr(train, "usable_cores", lambda: 3)
+    monkeypatch.setattr(parallel, "blas_thread_control", lambda: None)
+    counts = []
+
+    def counted(count, *rest):
+        counts.append(count)
+        return parallel.workers(count, *rest)
+
+    monkeypatch.setattr(train, "workers", counted)
+    assert _lstm_model_bytes(tmp_path, schema, "uncapped") == serial
+    assert counts == [0]
+
+
+def test_lstm_shard_terms_add_up_to_the_minibatch_mean(rng):
+    from htnrisk.nnet import dropout_mask, init_lstm_params, lstm_loss_and_grads
+
+    params = init_lstm_params(3, 4, rng)
+    X, y = _sharded_lstm_data(300, 2, 3)
+    w = rng.uniform(0.5, 2.0, size=300)
+    loss, grads = lstm_loss_and_grads(params, X, y, w, 0.3, np.random.default_rng(7))
+    mask_rng = np.random.default_rng(7)
+    masks = [dropout_mask(rows, 4, 0.3, mask_rng) for rows in (128, 128, 44)]
+    parts = [
+        lstm_loss_and_grads(params, X[s], y[s], w[s], mask=mask, batch_rows=300)
+        for s, mask in zip((slice(0, 128), slice(128, 256), slice(256, 300)), masks)
+    ]
+    assert sum(part for part, _ in parts) == pytest.approx(loss, rel=1e-13)
+    np.testing.assert_allclose(
+        sum(g.to_vector() for _, g in parts), grads.to_vector(), rtol=1e-12, atol=1e-15
+    )
