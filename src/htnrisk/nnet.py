@@ -507,9 +507,8 @@ def lstm_input_gradients(params: LstmParams, X: Matrix) -> tuple[np.ndarray, np.
 def lstm_integrated_gradients(params: LstmParams, x: Matrix, steps: int) -> Matrix:
     """Integrated gradients (T, F) of the output probability at one
     sequence x (T, F) against the all-zero baseline, with the midpoint
-    rule at `steps` nodes: the sum of
-    `attribution.integrated_gradients(lstm_scorer(params), x, 0, steps)`,
-    in fewer operations.
+    rule at `steps` nodes: `attribution.integrated_gradients(
+    lstm_scorer(params), x, 0, steps)` to rounding, in fewer operations.
 
     Every path point alpha_k x has the leading zero steps of x, so those
     steps run once, for all points. Past them, the points' input
@@ -518,6 +517,8 @@ def lstm_integrated_gradients(params: LstmParams, x: Matrix, steps: int) -> Matr
     and the mean of d loss / d gate pre-activations over the points is
     taken before the one matmul with W^T.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     x = _batch(params, x)[0]
     T, F = x.shape
     H = params.hidden

@@ -13,7 +13,7 @@ slice of the vector, added once per minibatch and to the validation loss.
 
 An LSTM minibatch is computed as fixed shards of SHARD_ROWS rows at one
 BLAS thread, some of them on persistent workers, one per extra usable
-core (`_sharded_lstm`).
+core up to the shard count (`_sharded_lstm`).
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ def _sharded_lstm(config: TrainConfig, X: np.ndarray, y: np.ndarray, w: np.ndarr
     the minibatch's n (`lstm_loss_and_grads`' batch_rows), and they are
     added here in shard order. The body runs at one BLAS thread, and
     shard j of a minibatch runs in process j mod P: the calling process
-    and one persistent worker (`parallel.workers`) per extra usable core.
-    So the bytes of a model depend neither on the process count nor on
+    and one persistent worker (`parallel.workers`) per extra usable core,
+    but no more workers than a minibatch has other shards. So the bytes of a model depend neither on the process count nor on
     the BLAS thread count. Where that count cannot be set, every shard
     runs here, serially, with BLAS as it is.
     """
@@ -268,8 +268,9 @@ def _sharded_lstm(config: TrainConfig, X: np.ndarray, y: np.ndarray, w: np.ndarr
             out += [np.array([loss]), grad]
         return out
 
+    shards_per_batch = -(-min(config.batch_size, len(y)) // SHARD_ROWS)
     with blas_at_one_thread() as capped:
-        count = usable_cores() - 1 if capped else 0
+        count = min(usable_cores(), shards_per_batch) - 1 if capped else 0
         with workers(count, serve, "computing gradient shards") as pool:
             processes = 1 + len(pool)
 

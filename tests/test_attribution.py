@@ -217,6 +217,12 @@ def test_the_ig_kernel_equals_ig_of_the_lstm_scorer(steps, lead):
         assert not got.any()
 
 
+def test_the_ig_kernel_needs_a_step():
+    params = init_lstm_params(2, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        lstm_integrated_gradients(params, np.ones((6, 2)), 0)
+
+
 def test_aggregate_sums_over_time():
     attributions = np.arange(12, dtype=np.float64).reshape(6, 2)
     np.testing.assert_array_equal(

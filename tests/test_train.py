@@ -625,6 +625,26 @@ def test_lstm_shards_run_serially_without_blas_thread_control(
     assert counts == [0]
 
 
+def test_no_more_workers_are_forked_than_a_minibatch_has_other_shards(monkeypatch):
+    import htnrisk.parallel as parallel
+
+    counts = []
+
+    def counted(count, *rest):
+        counts.append(count)
+        return parallel.workers(count, *rest)
+
+    monkeypatch.setattr(train, "usable_cores", lambda: 8)
+    monkeypatch.setattr(train, "workers", counted)
+    X, y = _sharded_lstm_data(300, 0, 3)
+    w = np.ones(300)
+    for batch_size in (128, 129, 256, 512):  # 300 rows: at most three shards
+        config = replace(default_config("lstm"), hidden_size=4, batch_size=batch_size)
+        with train._sharded_lstm(config, X, y, w):
+            pass
+    assert counts == [0, 1, 1, 2]
+
+
 def test_lstm_shard_terms_add_up_to_the_minibatch_mean(rng):
     from htnrisk.nnet import dropout_mask, init_lstm_params, lstm_loss_and_grads
 
