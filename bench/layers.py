@@ -251,8 +251,12 @@ def main(argv=None) -> int:
     runs = json.loads(out.read_text(encoding="utf-8"))["runs"] if out.exists() else []
     out.write_text(json.dumps({"runs": [*runs, run]}, indent=2) + "\n", encoding="utf-8")
     for name, value in layers.items():
-        shown = "n/a" if value is None else value.get("median_s")
-        shown = value if shown is None else f"{shown * 1e3:9.1f} ms"
+        if value is None:
+            shown = "n/a"
+        elif "median_s" in value:
+            shown = f"{value['median_s'] * 1e3:9.1f} ms"
+        else:
+            shown = value
         print(f"{name:28s} {shown}")
     return 0
 

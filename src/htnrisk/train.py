@@ -244,9 +244,10 @@ def _sharded_lstm(config: TrainConfig, X: np.ndarray, y: np.ndarray, w: np.ndarr
     added here in shard order. The body runs at one BLAS thread, and
     shard j of a minibatch runs in process j mod P: the calling process
     and one persistent worker (`parallel.workers`) per extra usable core,
-    but no more workers than a minibatch has other shards. So the bytes of a model depend neither on the process count nor on
-    the BLAS thread count. Where that count cannot be set, every shard
-    runs here, serially, with BLAS as it is.
+    but no more workers than a minibatch has other shards. So the bytes
+    of a model depend neither on the process count nor on the BLAS
+    thread count. Where that count cannot be set, every shard runs here,
+    serially, with BLAS as it is.
     """
     H = config.hidden_size
     meta = (X.shape[2], H)
